@@ -95,26 +95,6 @@ type Config struct {
 	// Seed drives all randomized stages unless overridden in the
 	// sub-configurations.
 	Seed int64
-	// DisableCoverEngine opts out of the memoized, index-pruned, parallel
-	// coverage engine (internal/cover) on the scoring hot path, falling
-	// back to sequential per-CSG VF2 containment. Selection output is
-	// bit-identical either way; the knob exists for ablation and as an
-	// escape hatch.
-	DisableCoverEngine bool
-	// DisableSimCache opts out of the memoized, parallel similarity engine
-	// (internal/simcache) during fine clustering, falling back to
-	// sequential, uncached MCS/MCCS similarity searches. Clustering output
-	// is bit-identical either way; the knob exists for ablation and as an
-	// escape hatch. Equivalent to setting Clustering.DisableSimCache.
-	DisableSimCache bool
-	// DisableFrozenGraph routes every matcher in the pipeline — VF2
-	// containment, MCS/MCCS similarity — through the legacy mutable-graph
-	// implementations instead of the frozen-CSR forms (graph.Frozen).
-	// Selection output is bit-identical either way: the frozen kernels
-	// replicate the legacy exploration order exactly. The knob exists for
-	// ablation benchmarks and as an escape hatch. Equivalent to setting
-	// Clustering.DisableFrozenGraph plus the selection-context switch.
-	DisableFrozenGraph bool
 	// Degradation configures anytime, deadline-aware graceful degradation
 	// (internal/resilience). When Enabled, the overall deadline —
 	// Degradation.Deadline and/or the context deadline, whichever is
@@ -166,12 +146,6 @@ func (c *Config) defaults() {
 	}
 	if c.Network.Seed == 0 && !c.Network.SeedSet {
 		c.Network.Seed = c.Seed
-	}
-	if c.DisableSimCache {
-		c.Clustering.DisableSimCache = true
-	}
-	if c.DisableFrozenGraph {
-		c.Clustering.DisableFrozenGraph = true
 	}
 }
 
@@ -380,14 +354,7 @@ func SelectCtx(stdctx context.Context, db *graph.DB, cfg Config) (*Result, error
 	// Phase 3: pattern selection (anytime under degradation: returns the
 	// patterns selected so far on overrun or contained fault).
 	sctx, cancelSelect := phaseCtx(pipeline.StageSelect)
-	ctx := core.NewContextSized(db, csgs, effSizes)
-	if cfg.DisableCoverEngine {
-		ctx.DisableCoverEngine()
-	}
-	if cfg.DisableFrozenGraph {
-		ctx.DisableFrozenGraph()
-	}
-	sel, err := core.SelectCtx(sctx, ctx, cfg.Budget, cfg.Selection)
+	sel, err := core.SelectCtx(sctx, core.NewContextSized(db, csgs, effSizes), cfg.Budget, cfg.Selection)
 	endPhase(cancelSelect)
 	if err != nil {
 		return nil, err

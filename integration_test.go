@@ -1,6 +1,7 @@
 package catapult
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cluster"
@@ -76,7 +77,7 @@ func TestPipelineInvariants(t *testing.T) {
 	// against the patterns selected before it.
 	graphsSoFar := res.PatternGraphs()
 	for pi := 1; pi < len(graphsSoFar); pi++ {
-		want, _ := ged.MinDistance(graphsSoFar[pi], graphsSoFar[:pi])
+		want, _, _ := ged.MinDistanceCtx(context.Background(), graphsSoFar[pi], graphsSoFar[:pi])
 		if int(res.Patterns[pi].Div) != want {
 			t.Errorf("pattern %d div = %v, recomputed %d", pi, res.Patterns[pi].Div, want)
 		}

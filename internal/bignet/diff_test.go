@@ -13,8 +13,7 @@ import (
 // sequential and the summarizer parallel with per-region seeded RNGs, so
 // Decompose must be a pure function of (network, options) —
 // bit-identical across GOMAXPROCS {1, 4, default} and across repeated
-// runs with the same seed. Style of the root frozen_diff_test.go; run by
-// `make diff-race`.
+// runs with the same seed. Run by `make diff-race`.
 
 func assertSameDecomposition(t *testing.T, label string, got, want *Decomposition) {
 	t.Helper()

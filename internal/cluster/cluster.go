@@ -78,17 +78,6 @@ type Config struct {
 	// propagates its top-level Seed into a zero Seed when SeedSet is false,
 	// so a deliberate Seed of 0 is distinguishable from "not configured".
 	SeedSet bool
-	// DisableSimCache opts out of the memoized, parallel similarity engine
-	// (internal/simcache) during fine clustering, falling back to
-	// sequential, uncached MCS/MCCS searches. Clustering output is
-	// bit-identical either way; the knob exists for ablation and as an
-	// escape hatch.
-	DisableSimCache bool
-	// DisableFrozenGraph routes fine-clustering similarity searches through
-	// the legacy mutable-graph MCS/MCCS implementation instead of the
-	// frozen-CSR searcher. Clustering output is bit-identical either way;
-	// the knob exists for ablation and as an escape hatch.
-	DisableFrozenGraph bool
 }
 
 func (c *Config) defaults() {
@@ -343,10 +332,9 @@ func (s Strategy) simKind() mcs.Kind {
 // two around a random seed and the graph most dissimilar to it (by
 // MCS/MCCS similarity); splits repeat until all clusters are within N.
 // Similarities run through a simcache engine — memoized by canonical pair
-// and fanned out with par.ForCtx — unless cfg.DisableSimCache asks for the
-// sequential, uncached path; both paths schedule identical work in member
-// order over pure per-pair values, so cluster assignments are
-// bit-identical for any worker count. ctx is checked before every split
+// and fanned out with par.ForCtx — which schedules work in member order
+// over pure per-pair values, so cluster assignments are bit-identical for
+// any worker count. ctx is checked before every split
 // and inside each similarity search; each split is counted as
 // CounterClustersSplit.
 func fine(ctx context.Context, db *graph.DB, in []*Cluster, cfg Config, rng *rand.Rand) ([]*Cluster, error) {
@@ -360,10 +348,8 @@ func fine(ctx context.Context, db *graph.DB, in []*Cluster, cfg Config, rng *ran
 	engine := func() *simcache.Engine {
 		if eng == nil {
 			eng = simcache.New(db.Graphs, simcache.Options{
-				Kind:          cfg.Strategy.simKind(),
-				Budget:        cfg.MCSBudget,
-				Naive:         cfg.DisableSimCache,
-				DisableFrozen: cfg.DisableFrozenGraph,
+				Kind:   cfg.Strategy.simKind(),
+				Budget: cfg.MCSBudget,
 			})
 		}
 		return eng

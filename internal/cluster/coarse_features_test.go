@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/treemine"
@@ -8,7 +9,10 @@ import (
 
 func TestCoarseWithFeaturesPartition(t *testing.T) {
 	db := clusteredDB(8)
-	mined := treemine.Mine(db, treemine.MineOptions{MinSupport: 0.2, MaxEdges: 2})
+	mined, err := treemine.MineCtx(context.Background(), db, treemine.MineOptions{MinSupport: 0.2, MaxEdges: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(mined) == 0 {
 		t.Fatal("no features mined")
 	}
@@ -32,7 +36,10 @@ func TestCoarseWithFeaturesPartition(t *testing.T) {
 
 func TestCoarseWithFeaturesSeparatesFamilies(t *testing.T) {
 	db := clusteredDB(10)
-	mined := treemine.Mine(db, treemine.MineOptions{MinSupport: 0.3, MaxEdges: 2})
+	mined, err := treemine.MineCtx(context.Background(), db, treemine.MineOptions{MinSupport: 0.3, MaxEdges: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sel := treemine.SelectFeatures(mined, 10)
 	cs := CoarseWithFeatures(db, sel, Config{N: 10, Seed: 5})
 	// Ring graphs (indices < 10) and star graphs share no subtree
@@ -65,7 +72,10 @@ func TestCoarseWithFeaturesMatchesRunCoarse(t *testing.T) {
 	// count should be in the same ballpark as Run with CoarseOnly.
 	db := clusteredDB(10)
 	viaRun := runT(t, db, Config{Strategy: CoarseOnly, N: 5, MinSupport: 0.3, Seed: 9})
-	mined := treemine.Mine(db, treemine.MineOptions{MinSupport: 0.3, MaxEdges: 3})
+	mined, err := treemine.MineCtx(context.Background(), db, treemine.MineOptions{MinSupport: 0.3, MaxEdges: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sel := treemine.SelectFeatures(mined, 40)
 	direct := CoarseWithFeatures(db, sel, Config{N: 5, MinSupport: 0.3, Seed: 9})
 	if len(direct) == 0 || len(viaRun.Clusters) == 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -140,14 +141,18 @@ func FuzzKMedoidsInvariants(f *testing.F) {
 			t.Fatalf("%d clusters for k=%d over %d graphs", len(cs), k, n)
 		}
 
-		// Differential: the naive engine yields the identical clustering.
-		naive := simcache.New(db.Graphs, simcache.Options{Budget: 500, Naive: true})
-		want, err := KMedoidsCtx(context.Background(), db, k, naive, seed, 5)
+		// GOMAXPROCS independence: a single-worker run on a fresh engine
+		// yields the identical clustering.
+		prev := runtime.GOMAXPROCS(1)
+		want, err := KMedoidsCtx(context.Background(), db, k,
+			simcache.New(db.Graphs, simcache.Options{Budget: 500}), seed, 5)
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(cs, want) {
-			t.Fatalf("engine and naive clusterings diverge:\n engine: %v\n naive:  %v", cs, want)
+			t.Fatalf("clusterings diverge across worker counts:\n GOMAXPROCS %d: %v\n GOMAXPROCS 1: %v",
+				prev, cs, want)
 		}
 	})
 }

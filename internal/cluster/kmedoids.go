@@ -41,9 +41,8 @@ func MCCSDistance(budget int) DistanceFunc {
 // par.ForCtx and isomorphic pairs share one memoized MCS/MCCS search.
 // Distances are 1 - similarity under the engine's configured measure.
 // Because every engine value is a pure function of its canonical pair, the
-// resulting clustering is bit-identical for any worker count and to an
-// engine constructed with Options.Naive. On cancellation it returns
-// (nil, ctx.Err()).
+// resulting clustering is bit-identical for any worker count. On
+// cancellation it returns (nil, ctx.Err()).
 func KMedoidsCtx(ctx context.Context, db *graph.DB, k int, eng *simcache.Engine, seed int64, maxIter int) ([]*Cluster, error) {
 	n := db.Len()
 	if n == 0 {

@@ -154,18 +154,10 @@ type Context struct {
 	elw         map[string]float64     // edge label weight (global lcov)
 	labelGraphs map[string]*bitset.Set // graphs containing each edge label
 
-	// Coverage engine (internal/cover) state. The engine is built lazily on
-	// first use from the CSG summary graphs; coverOff selects the naive
-	// sequential per-CSG VF2 path instead (the oracle the differential
-	// tests compare against, and the catapult.Config opt-out).
-	coverOff  bool
+	// Coverage engine (internal/cover) over the CSG summary graphs, built
+	// lazily on first use.
 	coverOnce sync.Once
 	coverEng  *cover.Engine
-
-	// frozenOff routes every VF2 containment check (engine and naive paths
-	// alike) through the legacy mutable-graph matcher instead of the
-	// frozen-CSR matcher.
-	frozenOff bool
 
 	// Query-log engine, built lazily per log slice (Options.QueryLog is
 	// stable across one Select run).
@@ -222,34 +214,15 @@ func NewContextSized(db *graph.DB, csgs []*csg.CSG, effectiveSizes []float64) *C
 	return ctx
 }
 
-// DisableCoverEngine switches coverage scoring to the naive sequential
-// per-host VF2 path: no memoization, no index pruning, no parallel
-// verification. Selection output is bit-identical either way (the engine is
-// an exact accelerator); the naive path exists as the differential-test
-// oracle and as an ablation/opt-out knob. Call it before the first scoring
-// use of the context.
-func (ctx *Context) DisableCoverEngine() { ctx.coverOff = true }
-
-// DisableFrozenGraph switches every containment check of this context —
-// through the coverage engine or the naive path alike — to the legacy
-// mutable-graph VF2 matcher. Selection output is bit-identical either way
-// (the frozen matcher replicates the legacy search order exactly); the
-// knob exists for ablation benchmarks and as an escape hatch. Call it
-// before the first scoring use of the context.
-func (ctx *Context) DisableFrozenGraph() { ctx.frozenOff = true }
-
 // coverEngine returns the lazily built coverage engine over the CSG summary
-// graphs, or nil when the engine is disabled.
+// graphs.
 func (sc *Context) coverEngine() *cover.Engine {
-	if sc.coverOff {
-		return nil
-	}
 	sc.coverOnce.Do(func() {
 		hosts := make([]*graph.Graph, len(sc.CSGs))
 		for i, c := range sc.CSGs {
 			hosts[i] = c.G
 		}
-		sc.coverEng = cover.New(hosts, cover.Options{DisableFrozen: sc.frozenOff})
+		sc.coverEng = cover.New(hosts, cover.Options{})
 	})
 	return sc.coverEng
 }
@@ -260,7 +233,7 @@ func (sc *Context) queryLogEngine(log []*graph.Graph) *cover.Engine {
 	sc.qlogMu.Lock()
 	defer sc.qlogMu.Unlock()
 	if sc.qlogEng == nil || !sameGraphs(sc.qlog, log) {
-		sc.qlogEng = cover.New(log, cover.Options{DisableFrozen: sc.frozenOff})
+		sc.qlogEng = cover.New(log, cover.Options{})
 		sc.qlog = log
 	}
 	return sc.qlogEng
@@ -279,7 +252,7 @@ func sameGraphs(a, b []*graph.Graph) bool {
 }
 
 // CoverStats returns a snapshot of the coverage engine's cache/pruning
-// activity (zero when the engine is disabled or not yet used).
+// activity (zero when the engine is not yet used).
 func (ctx *Context) CoverStats() cover.Stats {
 	if ctx.coverEng == nil {
 		return cover.Stats{}

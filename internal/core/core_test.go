@@ -50,7 +50,8 @@ func testSetup() (*graph.DB, []*csg.CSG) {
 	}
 	db := graph.NewDB("core-test", gs)
 	clusters := [][]int{{0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10, 11}}
-	return db, csg.BuildAll(db, clusters)
+	csgs, _ := csg.BuildAllCtx(context.Background(), db, clusters) // never cancelled
+	return db, csgs
 }
 
 func TestBudgetValidate(t *testing.T) {
@@ -151,7 +152,7 @@ func TestGenerateFCPConnectedAndSized(t *testing.T) {
 func TestGenerateFCPOversizeReturnsNil(t *testing.T) {
 	g := pathGraph("C", "O")
 	db := graph.NewDB("tiny", []*graph.Graph{g})
-	c := csg.Build(db, []int{0})
+	c, _ := csg.BuildCtx(context.Background(), db, []int{0})
 	ctx := NewContext(db, []*csg.CSG{c})
 	rng := rand.New(rand.NewSource(2))
 	if p := ctx.GenerateFCP(c, 5, 10, rng); p != nil {
@@ -371,7 +372,7 @@ func TestSelectTopCSGsRestriction(t *testing.T) {
 func TestSelectExhaustionOnTinyDB(t *testing.T) {
 	g := pathGraph("C", "O", "N", "S")
 	db := graph.NewDB("tiny", []*graph.Graph{g})
-	c := csg.Build(db, []int{0})
+	c, _ := csg.BuildCtx(context.Background(), db, []int{0})
 	ctx := NewContext(db, []*csg.CSG{c})
 	// Ask for far more patterns than the 3-edge database can provide.
 	res, err := SelectCtx(context.Background(), ctx, Budget{EtaMin: 3, EtaMax: 3, Gamma: 10}, Options{Seed: 17})

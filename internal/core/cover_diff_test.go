@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitset"
@@ -14,13 +16,60 @@ import (
 )
 
 // Differential property tests: every scoring quantity computed through the
-// coverage engine must be byte-identical to the naive sequential
-// subiso.Contains oracle — the engine is an exact accelerator, not an
+// coverage engine must be byte-identical to the sequential subiso.Contains
+// oracles below — the engine is an exact accelerator, not an
 // approximation. Randomized databases, clusterings and patterns; failures
 // print the offending seed.
 
+// naiveCCov is the oracle for CCov: every CSG of positive weight is tested
+// with VF2, in ascending order.
+func naiveCCov(sc *Context, p *graph.Graph) float64 {
+	total := 0.0
+	for i, c := range sc.CSGs {
+		if sc.cw[i] > 0 && subiso.Contains(c.G, p) {
+			total += sc.cw[i]
+		}
+	}
+	return total
+}
+
+// naiveUpdateWeights is the oracle for UpdateWeights: the multiplicative
+// update with sequential VF2 containment per CSG.
+func naiveUpdateWeights(sc *Context, p *graph.Graph) {
+	const n = 0.5
+	for i, c := range sc.CSGs {
+		if sc.cw[i] > 0 && subiso.Contains(c.G, p) {
+			sc.cw[i] *= 1 - n
+		}
+	}
+	seen := make(map[string]bool)
+	for _, e := range p.Edges() {
+		l := p.EdgeLabel(e.U, e.V)
+		if seen[l] {
+			continue
+		}
+		seen[l] = true
+		if _, ok := sc.elw[l]; ok {
+			sc.elw[l] *= 1 - n
+		}
+	}
+}
+
+// naiveQueryLogFrequency is the oracle for queryLogFrequencyCtx: the
+// fraction of logged queries containing p, by a sequential scan.
+func naiveQueryLogFrequency(p *graph.Graph, log []*graph.Graph) float64 {
+	hits := 0
+	for _, q := range log {
+		if subiso.Contains(q, p) {
+			hits++
+		}
+	}
+	return float64(hits) / float64(len(log))
+}
+
 // diffSetup builds a randomized database, a random chunked clustering and
-// two identical contexts — one engine-backed, one naive.
+// two identical contexts — one scored through the engine, one through the
+// oracles.
 func diffSetup(seed int64) (*graph.DB, []*csg.CSG, *Context, *Context, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
 	db := dataset.AIDSLike(24+rng.Intn(16), seed)
@@ -37,11 +86,8 @@ func diffSetup(seed int64) (*graph.DB, []*csg.CSG, *Context, *Context, *rand.Ran
 		clusters = append(clusters, members)
 		i += n
 	}
-	csgs := csg.BuildAll(db, clusters)
-	engCtx := NewContext(db, csgs)
-	naiveCtx := NewContext(db, csgs)
-	naiveCtx.DisableCoverEngine()
-	return db, csgs, engCtx, naiveCtx, rng
+	csgs, _ := csg.BuildAllCtx(context.Background(), db, clusters) // never cancelled
+	return db, csgs, NewContext(db, csgs), NewContext(db, csgs), rng
 }
 
 // diffPatterns draws patterns that are subgraphs of some data graph plus
@@ -69,7 +115,7 @@ func TestDifferentialCCov(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		db, _, engCtx, naiveCtx, rng := diffSetup(seed)
 		for _, p := range diffPatterns(db, 30, rng) {
-			if a, b := engCtx.CCov(p), naiveCtx.CCov(p); a != b {
+			if a, b := engCtx.CCov(p), naiveCCov(naiveCtx, p); a != b {
 				t.Errorf("seed %d: engine CCov = %v, naive = %v for %v", seed, a, b, p)
 			}
 		}
@@ -81,12 +127,15 @@ func TestDifferentialUpdateWeights(t *testing.T) {
 		db, csgs, engCtx, naiveCtx, rng := diffSetup(seed)
 		for _, p := range diffPatterns(db, 10, rng) {
 			engCtx.UpdateWeights(p)
-			naiveCtx.UpdateWeights(p)
+			naiveUpdateWeights(naiveCtx, p)
 			for i := range csgs {
 				if a, b := engCtx.ClusterWeight(i), naiveCtx.ClusterWeight(i); a != b {
 					t.Fatalf("seed %d: cluster %d weight diverged: engine %v, naive %v",
 						seed, i, a, b)
 				}
+			}
+			if !reflect.DeepEqual(engCtx.elw, naiveCtx.elw) {
+				t.Fatalf("seed %d: edge label weights diverged", seed)
 			}
 		}
 	}
@@ -127,69 +176,66 @@ func TestDifferentialScovLcov(t *testing.T) {
 
 func TestDifferentialQueryLogFrequency(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		db, _, engCtx, naiveCtx, rng := diffSetup(seed)
+		db, _, engCtx, _, rng := diffSetup(seed)
 		log := diffPatterns(db, 12, rng) // stand-in logged queries
 		for _, p := range diffPatterns(db, 10, rng) {
 			a, err := engCtx.queryLogFrequencyCtx(context.Background(), p, log)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := naiveCtx.queryLogFrequencyCtx(context.Background(), p, log)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a != b {
+			if b := naiveQueryLogFrequency(p, log); a != b {
 				t.Errorf("seed %d: engine qfreq = %v, naive = %v for %v", seed, a, b, p)
 			}
 		}
 	}
 }
 
-// TestDifferentialSelect runs the full greedy selection with the engine on
-// vs off under fixed seeds: byte-identical pattern sets, score breakdowns
-// and termination behavior.
+// TestDifferentialSelect runs the full greedy selection, query log
+// included, on fresh contexts under GOMAXPROCS 1, 2 and 4: byte-identical
+// pattern sets, score breakdowns and termination behavior, with the
+// coverage engine's memo exercised. The golden suite pins the facade's
+// output; this covers the query-log scoring path it does not take.
 func TestDifferentialSelect(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
 	for seed := int64(1); seed <= 3; seed++ {
-		db, _, engCtx, naiveCtx, _ := diffSetup(seed)
+		db, csgs, _, _, _ := diffSetup(seed)
 		b := Budget{EtaMin: 3, EtaMax: 5, Gamma: 6}
 		opts := Options{Walks: 8, Seed: seed, SeedSet: true,
 			QueryLog: diffPatterns(db, 6, rand.New(rand.NewSource(seed^0x5eed)))}
 
-		ra, err := SelectCtx(context.Background(), engCtx, b, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := SelectCtx(context.Background(), naiveCtx, b, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ra.Iterations != rb.Iterations || ra.Exhausted != rb.Exhausted {
-			t.Fatalf("seed %d: run shape differs: (%d, %v) vs (%d, %v)",
-				seed, ra.Iterations, ra.Exhausted, rb.Iterations, rb.Exhausted)
-		}
-		if len(ra.Patterns) != len(rb.Patterns) {
-			t.Fatalf("seed %d: pattern counts differ: %d vs %d",
-				seed, len(ra.Patterns), len(rb.Patterns))
-		}
-		for i := range ra.Patterns {
-			pa, pb := ra.Patterns[i], rb.Patterns[i]
-			if pa.Graph.String() != pb.Graph.String() {
-				t.Errorf("seed %d: pattern %d differs:\n engine: %v\n naive:  %v",
-					seed, i, pa.Graph, pb.Graph)
+		var want *Result
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			sc := NewContext(db, csgs)
+			got, err := SelectCtx(context.Background(), sc, b, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if pa.Score != pb.Score || pa.Ccov != pb.Ccov || pa.Lcov != pb.Lcov ||
-				pa.Div != pb.Div || pa.Cog != pb.Cog || pa.SourceCSG != pb.SourceCSG {
-				t.Errorf("seed %d: pattern %d breakdown differs:\n engine: %+v\n naive:  %+v",
-					seed, i, *pa, *pb)
+			if s := sc.CoverStats(); s.Hits == 0 || s.Misses == 0 {
+				t.Errorf("seed %d GOMAXPROCS %d: engine run had no cache activity: %+v", seed, procs, s)
 			}
-		}
-		// The engine run must actually have exercised the cache, and the
-		// naive context must never have built an engine.
-		if s := engCtx.CoverStats(); s.Hits == 0 || s.Misses == 0 {
-			t.Errorf("seed %d: engine run had no cache activity: %+v", seed, s)
-		}
-		if s := naiveCtx.CoverStats(); s.Hits != 0 || s.Misses != 0 || s.VF2Calls != 0 {
-			t.Errorf("seed %d: naive run touched the engine: %+v", seed, s)
+			if want == nil {
+				want = got
+				continue
+			}
+			if got.Iterations != want.Iterations || got.Exhausted != want.Exhausted {
+				t.Fatalf("seed %d GOMAXPROCS %d: run shape differs: (%d, %v) vs (%d, %v)",
+					seed, procs, got.Iterations, got.Exhausted, want.Iterations, want.Exhausted)
+			}
+			if len(got.Patterns) != len(want.Patterns) {
+				t.Fatalf("seed %d GOMAXPROCS %d: pattern counts differ: %d vs %d",
+					seed, procs, len(got.Patterns), len(want.Patterns))
+			}
+			for i := range got.Patterns {
+				pa, pb := got.Patterns[i], want.Patterns[i]
+				if pa.Graph.String() != pb.Graph.String() ||
+					pa.Score != pb.Score || pa.Ccov != pb.Ccov || pa.Lcov != pb.Lcov ||
+					pa.Div != pb.Div || pa.Cog != pb.Cog || pa.SourceCSG != pb.SourceCSG {
+					t.Errorf("seed %d GOMAXPROCS %d: pattern %d differs:\n got:  %+v\n want: %+v",
+						seed, procs, i, *pa, *pb)
+				}
+			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cover"
 	"repro/internal/ged"
 	"repro/internal/graph"
-	"repro/internal/subiso"
 )
 
 // CCov estimates subgraph coverage via cluster coverage (Sec 5):
@@ -18,45 +17,17 @@ func (ctx *Context) CCov(p *graph.Graph) float64 {
 	return v
 }
 
-// containsCtx picks the VF2 implementation for the naive containment
-// paths: frozen-CSR by default, the legacy mutable-graph matcher when
-// DisableFrozenGraph was called.
-func (sc *Context) containsCtx(stdctx context.Context, host, p *graph.Graph) (bool, error) {
-	if sc.frozenOff {
-		return subiso.ContainsLegacyCtx(stdctx, host, p)
-	}
-	return subiso.ContainsCtx(stdctx, host, p)
-}
-
 // ccovCtx is CCov with cooperative cancellation. Containment runs through
-// the coverage engine (memoized, index-pruned, parallel) unless the engine
-// is disabled, in which case each live CSG is tested sequentially with VF2.
-// Both paths produce bit-identical sums: verdicts are accumulated in
-// ascending CSG order either way.
+// the coverage engine (memoized, index-pruned, parallel); verdicts are
+// accumulated in ascending CSG order, so the sum is deterministic.
 func (sc *Context) ccovCtx(stdctx context.Context, p *graph.Graph) (float64, error) {
-	if e := sc.coverEngine(); e != nil {
-		verdicts, err := e.Verdicts(stdctx, p)
-		if err != nil {
-			return 0, err
-		}
-		total := 0.0
-		for i, ok := range verdicts {
-			if ok && sc.cw[i] > 0 {
-				total += sc.cw[i]
-			}
-		}
-		return total, nil
+	verdicts, err := sc.coverEngine().Verdicts(stdctx, p)
+	if err != nil {
+		return 0, err
 	}
 	total := 0.0
-	for i, c := range sc.CSGs {
-		if sc.cw[i] <= 0 {
-			continue
-		}
-		ok, err := sc.containsCtx(stdctx, c.G, p)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
+	for i, ok := range verdicts {
+		if ok && sc.cw[i] > 0 {
 			total += sc.cw[i]
 		}
 	}
@@ -93,7 +64,7 @@ func (ctx *Context) LCov(p *graph.Graph) float64 {
 //	s_p = ccov(p, cw, C) × lcov(p, D) × div(p, P\p) / cog(p)
 //
 // Diversity is min-GED to the selected set with the GEDl pruning loop of
-// Sec 5 (performed inside ged.MinDistance); the first pattern of a set has
+// Sec 5 (performed inside ged.MinDistanceCtx); the first pattern of a set has
 // div = 1 by convention. A pattern isomorphic to an already-selected one
 // has div = 0 and thus score 0.
 func (ctx *Context) ScorePattern(p *graph.Graph, selected []*graph.Graph) (score, ccov, lcov, div, cog float64) {
@@ -103,7 +74,7 @@ func (ctx *Context) ScorePattern(p *graph.Graph, selected []*graph.Graph) (score
 	if len(selected) == 0 {
 		div = 1
 	} else {
-		d, _ := ged.MinDistance(p, selected)
+		d, _, _ := ged.MinDistanceCtx(context.Background(), p, selected)
 		div = float64(d)
 	}
 	if cog == 0 {
@@ -157,35 +128,11 @@ func (sc *Context) scoreWithCtx(stdctx context.Context, p *graph.Graph, selected
 }
 
 // queryLogFrequencyCtx returns the fraction of logged queries containing p,
-// through a coverage engine over the log (or the naive sequential scan when
-// the engine is disabled).
+// through a coverage engine over the log.
 func (sc *Context) queryLogFrequencyCtx(stdctx context.Context, p *graph.Graph, log []*graph.Graph) (float64, error) {
-	if sc.coverOff {
-		return queryLogFrequency(stdctx, p, log, sc.frozenOff)
-	}
 	hits, err := sc.queryLogEngine(log).Count(stdctx, p)
 	if err != nil {
 		return 0, err
-	}
-	return float64(hits) / float64(len(log)), nil
-}
-
-// queryLogFrequency is the naive oracle for queryLogFrequencyCtx; legacy
-// selects the mutable-graph VF2 matcher over the frozen default.
-func queryLogFrequency(stdctx context.Context, p *graph.Graph, log []*graph.Graph, legacy bool) (float64, error) {
-	contains := subiso.ContainsCtx
-	if legacy {
-		contains = subiso.ContainsLegacyCtx
-	}
-	hits := 0
-	for _, q := range log {
-		ok, err := contains(stdctx, q, p)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			hits++
-		}
 	}
 	return float64(hits) / float64(len(log)), nil
 }
@@ -198,33 +145,18 @@ func (ctx *Context) UpdateWeights(p *graph.Graph) {
 }
 
 // updateWeightsCtx is UpdateWeights with cooperative cancellation threaded
-// into the per-CSG containment checks. When the coverage engine is enabled,
-// the containment verdicts for the just-selected pattern are guaranteed memo
-// hits (scoring established them), so the update costs no VF2 at all.
+// into the coverage engine. The containment verdicts for the just-selected
+// pattern are memo hits (scoring established them), so the update costs no
+// VF2 at all.
 func (sc *Context) updateWeightsCtx(stdctx context.Context, p *graph.Graph) error {
 	const n = 0.5
-	if e := sc.coverEngine(); e != nil {
-		verdicts, err := e.Verdicts(stdctx, p)
-		if err != nil {
-			return err
-		}
-		for i, ok := range verdicts {
-			if ok && sc.cw[i] > 0 {
-				sc.cw[i] *= 1 - n
-			}
-		}
-	} else {
-		for i, c := range sc.CSGs {
-			if sc.cw[i] <= 0 {
-				continue
-			}
-			ok, err := sc.containsCtx(stdctx, c.G, p)
-			if err != nil {
-				return err
-			}
-			if ok {
-				sc.cw[i] *= 1 - n
-			}
+	verdicts, err := sc.coverEngine().Verdicts(stdctx, p)
+	if err != nil {
+		return err
+	}
+	for i, ok := range verdicts {
+		if ok && sc.cw[i] > 0 {
+			sc.cw[i] *= 1 - n
 		}
 	}
 	seen := make(map[string]struct{})
@@ -332,7 +264,7 @@ func AvgDiversity(patterns []*graph.Graph) float64 {
 		rest := make([]*graph.Graph, 0, len(patterns)-1)
 		rest = append(rest, patterns[:i]...)
 		rest = append(rest, patterns[i+1:]...)
-		d, _ := ged.MinDistance(p, rest)
+		d, _, _ := ged.MinDistanceCtx(context.Background(), p, rest)
 		total += float64(d)
 	}
 	return total / float64(len(patterns))

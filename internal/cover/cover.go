@@ -56,12 +56,6 @@ type Options struct {
 	// larger patterns bypass the memo entirely (pruning and parallel
 	// verification still apply).
 	MaxCanonVertices int
-	// DisableFrozen routes each VF2 verification through the legacy
-	// mutable-graph matcher instead of the frozen-CSR matcher. Verdicts are
-	// bit-identical either way (the frozen matcher replicates the legacy
-	// search order exactly); the knob exists for ablation benchmarks and as
-	// an escape hatch.
-	DisableFrozen bool
 }
 
 // Stats is a snapshot of engine activity.
@@ -84,7 +78,6 @@ type Engine struct {
 	hostKeys  []string
 	idx       *gindex.Index
 	maxCanonV int
-	frozenOff bool
 
 	mu   sync.RWMutex
 	memo map[pairKey]bool
@@ -107,7 +100,6 @@ func New(hosts []*graph.Graph, opts Options) *Engine {
 		hosts:     append([]*graph.Graph(nil), hosts...),
 		hostKeys:  make([]string, len(hosts)),
 		maxCanonV: maxCanonV,
-		frozenOff: opts.DisableFrozen,
 		memo:      make(map[pairKey]bool),
 	}
 	// The DB literal shares the host graphs without reassigning their IDs
@@ -201,12 +193,8 @@ func (e *Engine) Verdicts(stdctx context.Context, p *graph.Graph) ([]bool, error
 	}
 	results := make([]bool, len(reps))
 	errs := make([]error, len(reps))
-	contains := subiso.ContainsCtx
-	if e.frozenOff {
-		contains = subiso.ContainsLegacyCtx
-	}
 	ferr := par.ForCtx(stdctx, len(reps), func(i int) {
-		results[i], errs[i] = contains(stdctx, e.hosts[reps[i]], p)
+		results[i], errs[i] = subiso.ContainsCtx(stdctx, e.hosts[reps[i]], p)
 	})
 	e.vf2.Add(int64(len(reps)))
 	if ferr != nil {

@@ -63,21 +63,11 @@ type CSG struct {
 	labels []graph.LabelID
 }
 
-// Build summarizes the given member graphs (indices into db) into a CSG.
-// Members are merged in ascending-size order so the closure grows from the
-// most typical small structure outward.
-//
-// Deprecated: use BuildCtx. This wrapper predates PR 1's context plumbing:
-// it runs uncancellable and reports to no pipeline trace.
-func Build(db *graph.DB, members []int) *CSG {
-	// context.Background is never cancelled, so BuildCtx cannot fail here.
-	c, _ := BuildCtx(context.Background(), db, members)
-	return c
-}
-
-// BuildCtx is Build with cooperative cancellation, checked before each
-// member merge. Every merge is counted as CounterClosureMerges on the
-// context's pipeline tracer.
+// BuildCtx summarizes the given member graphs (indices into db) into a
+// CSG. Members are merged in ascending-size order so the closure grows
+// from the most typical small structure outward. Cancellation is checked
+// before each member merge, and every merge is counted as
+// CounterClosureMerges on the context's pipeline tracer.
 //
 // Under a resilience controller, a cancellation classed as salvageable
 // (soft-budget expiry, hard-deadline backstop) after at least one merge
@@ -251,20 +241,11 @@ func (c *CSG) Compactness(t float64) float64 {
 	return float64(count) / float64(total)
 }
 
-// BuildAll summarizes every cluster of a clustering into CSGs, building
-// independent clusters in parallel.
-//
-// Deprecated: use BuildAllCtx. This wrapper predates PR 1's context plumbing:
-// it runs uncancellable and reports to no pipeline trace.
-func BuildAll(db *graph.DB, clusters [][]int) []*CSG {
-	out, _ := BuildAllCtx(context.Background(), db, clusters)
-	return out
-}
-
-// BuildAllCtx is BuildAll with cooperative cancellation and tracing: the
-// parallel per-cluster loop stops claiming clusters once ctx is cancelled,
-// in-flight closures abort at their next member merge, and the whole phase
-// is reported as StageCSG. On cancellation it returns (nil, ctx.Err()).
+// BuildAllCtx summarizes every cluster of a clustering into CSGs, building
+// independent clusters in parallel, with cooperative cancellation and
+// tracing: the parallel per-cluster loop stops claiming clusters once ctx
+// is cancelled, in-flight closures abort at their next member merge, and
+// the whole phase is reported as StageCSG. On cancellation it returns (nil, ctx.Err()).
 //
 // Under a resilience controller the phase degrades instead of failing:
 // worker panics are contained per cluster (par.ForCtxRecover) and recorded

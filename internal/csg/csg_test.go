@@ -1,12 +1,24 @@
 package csg
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/subiso"
 )
+
+// buildT runs BuildCtx under a background context, failing the test on
+// error.
+func buildT(tb testing.TB, db *graph.DB, members []int) *CSG {
+	tb.Helper()
+	c, err := BuildCtx(context.Background(), db, members)
+	if err != nil {
+		tb.Fatalf("BuildCtx: %v", err)
+	}
+	return c
+}
 
 func pathGraph(labels ...string) *graph.Graph {
 	g := graph.New(len(labels), len(labels)-1)
@@ -37,7 +49,7 @@ func paperCluster() *graph.DB {
 
 func TestBuildSingleGraph(t *testing.T) {
 	db := paperCluster()
-	c := Build(db, []int{0})
+	c := buildT(t, db, []int{0})
 	if c.G.NumVertices() != 3 || c.G.NumEdges() != 2 {
 		t.Fatalf("CSG of one graph should equal it: %v", c.G)
 	}
@@ -50,7 +62,7 @@ func TestBuildSingleGraph(t *testing.T) {
 
 func TestBuildMergesIdenticalGraphs(t *testing.T) {
 	db := paperCluster()
-	c := Build(db, []int{0, 2}) // two identical O-C-S paths
+	c := buildT(t, db, []int{0, 2}) // two identical O-C-S paths
 	if c.G.NumVertices() != 3 {
 		t.Fatalf("identical graphs should fully merge: |V|=%d", c.G.NumVertices())
 	}
@@ -66,7 +78,7 @@ func TestBuildMergesIdenticalGraphs(t *testing.T) {
 
 func TestBuildExtendsWithNewVertex(t *testing.T) {
 	db := paperCluster()
-	c := Build(db, []int{0, 1})
+	c := buildT(t, db, []int{0, 1})
 	// G2 adds an N vertex: closure should have 4 vertices, 3 edges.
 	if c.G.NumVertices() != 4 {
 		t.Fatalf("|V| = %d, want 4", c.G.NumVertices())
@@ -97,7 +109,7 @@ func TestEveryMemberEmbedsInCSG(t *testing.T) {
 	}
 	db := graph.NewDB("rand", gs)
 	members := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	c := Build(db, members)
+	c := buildT(t, db, members)
 	for _, m := range members {
 		if !subiso.Contains(c.G, db.Graph(m)) {
 			t.Errorf("member %d does not embed in its CSG", m)
@@ -114,7 +126,7 @@ func TestEdgeAttributionSound(t *testing.T) {
 		gs = append(gs, randomConnectedGraph(rng, 6, 8))
 	}
 	db := graph.NewDB("attr", gs)
-	c := Build(db, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	c := buildT(t, db, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	for e, ids := range c.EdgeGraphs {
 		want := graph.CanonicalEdgeLabel(c.G.Label(e.U), c.G.Label(e.V))
 		for id := range ids {
@@ -135,7 +147,7 @@ func TestEdgeAttributionSound(t *testing.T) {
 
 func TestVertexAttributionComplete(t *testing.T) {
 	db := paperCluster()
-	c := Build(db, []int{0, 1, 2})
+	c := buildT(t, db, []int{0, 1, 2})
 	// Every member must appear in at least one vertex ID set per its size.
 	counts := map[int]int{}
 	for _, ids := range c.VertexGraphs {
@@ -152,7 +164,7 @@ func TestVertexAttributionComplete(t *testing.T) {
 
 func TestCompactness(t *testing.T) {
 	db := paperCluster()
-	c := Build(db, []int{0, 1, 2})
+	c := buildT(t, db, []int{0, 1, 2})
 	// Closure edges: C-O (3 graphs), C-S (3 graphs), C-N (1 graph).
 	// ξ_0.5: threshold 1.5 graphs → C-O, C-S qualify → 2/3.
 	if got, want := c.Compactness(0.5), 2.0/3.0; !close(got, want) {
@@ -172,7 +184,7 @@ func TestCompactnessEmptyCSG(t *testing.T) {
 	g := graph.New(1, 0)
 	g.AddVertex("C")
 	db := graph.NewDB("one", []*graph.Graph{g})
-	c := Build(db, []int{0})
+	c := buildT(t, db, []int{0})
 	if c.Compactness(0.5) != 0 {
 		t.Error("edgeless CSG compactness should be 0")
 	}
@@ -180,7 +192,7 @@ func TestCompactnessEmptyCSG(t *testing.T) {
 
 func TestContainsAndEdgeSupport(t *testing.T) {
 	db := paperCluster()
-	c := Build(db, []int{0, 2})
+	c := buildT(t, db, []int{0, 2})
 	e := c.G.Edges()[0]
 	if !c.Contains(e, 0) || !c.Contains(e, 2) {
 		t.Error("both identical graphs should contain every closure edge")
@@ -198,9 +210,12 @@ func TestContainsAndEdgeSupport(t *testing.T) {
 
 func TestBuildAll(t *testing.T) {
 	db := paperCluster()
-	cs := BuildAll(db, [][]int{{0, 2}, {1}})
+	cs, err := BuildAllCtx(context.Background(), db, [][]int{{0, 2}, {1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cs) != 2 {
-		t.Fatalf("BuildAll produced %d CSGs", len(cs))
+		t.Fatalf("BuildAllCtx produced %d CSGs", len(cs))
 	}
 	if len(cs[0].Members) != 2 || len(cs[1].Members) != 1 {
 		t.Error("member lists wrong")
@@ -232,7 +247,7 @@ func TestMergeOrderInsensitiveEmbedding(t *testing.T) {
 	db := graph.NewDB("perm", gs)
 	for trial := 0; trial < 5; trial++ {
 		perm := rng.Perm(6)
-		c := Build(db, perm)
+		c := buildT(t, db, perm)
 		for _, m := range perm {
 			if !subiso.Contains(c.G, db.Graph(m)) {
 				t.Fatalf("member %d lost under order %v", m, perm)
@@ -280,6 +295,6 @@ func BenchmarkBuildCSG(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(db, members)
+		buildT(b, db, members)
 	}
 }

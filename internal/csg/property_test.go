@@ -28,7 +28,7 @@ func TestCSGProperties(t *testing.T) {
 		for i := range members {
 			members[i] = i
 		}
-		c := Build(db, members)
+		c := buildT(t, db, members)
 		for _, ids := range c.EdgeGraphs {
 			if ids.Len() > n {
 				return false

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"time"
 
@@ -57,7 +58,7 @@ func Exp1(cfg Config) *Report {
 func compactness(db *graph.DB, clusters []*cluster.Cluster) (x4, x5, x6 float64) {
 	var v4, v5, v6 []float64
 	for _, c := range clusters {
-		s := csg.Build(db, c.Members)
+		s, _ := csg.BuildCtx(context.Background(), db, c.Members) // never cancelled
 		v4 = append(v4, s.Compactness(0.4))
 		v5 = append(v5, s.Compactness(0.5))
 		v6 = append(v6, s.Compactness(0.6))

@@ -140,7 +140,7 @@ func Exp2(cfg Config) *Report {
 func csgCompactness(db *graph.DB, clusters [][]int) (x4, x5, x6 float64) {
 	var v4, v5, v6 []float64
 	for _, members := range clusters {
-		s := csg.Build(db, members)
+		s, _ := csg.BuildCtx(context.Background(), db, members) // never cancelled
 		v4 = append(v4, s.Compactness(0.4))
 		v5 = append(v5, s.Compactness(0.5))
 		v6 = append(v6, s.Compactness(0.6))

@@ -102,24 +102,15 @@ func Distance(a, b *graph.Graph) int {
 	return d
 }
 
-// MinDistance returns min over ps of GED(p, pi), implementing the pruned
+// MinDistanceCtx returns min over ps of GED(p, pi), implementing the pruned
 // loop of Sec 5: candidates are sorted by their GED lower bound and the
 // exact computation is skipped for any pattern whose lower bound already
 // exceeds the best distance found. It returns the minimum distance and the
 // number of full GED computations performed (for instrumentation). If ps is
 // empty it returns (0, 0) — by convention the first pattern added to an
-// empty set has no diversity constraint.
-//
-// Deprecated: use MinDistanceCtx. This wrapper predates PR 1's context plumbing:
-// it runs uncancellable and reports to no pipeline trace.
-func MinDistance(p *graph.Graph, ps []*graph.Graph) (minDist, fullComputations int) {
-	minDist, fullComputations, _ = MinDistanceCtx(context.Background(), p, ps)
-	return minDist, fullComputations
-}
-
-// MinDistanceCtx is MinDistance with cooperative cancellation, checked
-// before each full GED computation in the pruned loop. Full computations
-// are counted on the context's pipeline tracer (CounterGEDCalls).
+// empty set has no diversity constraint. Cancellation is checked before
+// each full GED computation, and full computations are counted on the
+// context's pipeline tracer (CounterGEDCalls).
 //
 // Under a resilience controller whose selection soft budget is running out
 // (resilience.GEDApprox), each Distance call is downgraded from the

@@ -1,6 +1,7 @@
 package ged
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -177,9 +178,9 @@ func TestDistanceFallsBackOnBudget(t *testing.T) {
 
 func TestMinDistanceEmptySet(t *testing.T) {
 	p := path("C", "O")
-	d, n := MinDistance(p, nil)
+	d, n, _ := MinDistanceCtx(context.Background(), p, nil)
 	if d != 0 || n != 0 {
-		t.Errorf("MinDistance on empty set = (%d,%d), want (0,0)", d, n)
+		t.Errorf("MinDistanceCtx on empty set = (%d,%d), want (0,0)", d, n)
 	}
 }
 
@@ -191,7 +192,7 @@ func TestMinDistanceMatchesBruteForce(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			set = append(set, randomConnectedGraph(rng, 5, 6))
 		}
-		got, full := MinDistance(p, set)
+		got, full, _ := MinDistanceCtx(context.Background(), p, set)
 		want := 1 << 30
 		for _, q := range set {
 			if d := Distance(p, q); d < want {
@@ -199,7 +200,7 @@ func TestMinDistanceMatchesBruteForce(t *testing.T) {
 			}
 		}
 		if got != want {
-			t.Errorf("MinDistance = %d, brute force = %d", got, want)
+			t.Errorf("MinDistanceCtx = %d, brute force = %d", got, want)
 		}
 		if full > len(set) {
 			t.Errorf("pruning did more work (%d) than brute force (%d)", full, len(set))
@@ -216,9 +217,9 @@ func TestMinDistancePruningActuallyPrunes(t *testing.T) {
 		path("S", "S", "S", "S", "S", "S", "S"),
 		path("P", "P", "P", "P", "P", "P", "P", "P"),
 	}
-	d, full := MinDistance(p, set)
+	d, full, _ := MinDistanceCtx(context.Background(), p, set)
 	if d != 0 {
-		t.Fatalf("MinDistance = %d, want 0", d)
+		t.Fatalf("MinDistanceCtx = %d, want 0", d)
 	}
 	if full > 1 {
 		t.Errorf("expected early stop after exact hit, did %d full computations", full)

@@ -7,8 +7,8 @@ import "sort"
 // subsequent vertex is adjacent to an earlier one where possible. Matching
 // connected-first keeps the candidate sets small. This is the VF2 variable
 // order used by internal/subiso; it lives here so Frozen can precompute and
-// cache it per pattern with the exact same tie-breaking as the legacy
-// matcher (same sort calls on the same input order).
+// cache it per pattern, and the VF2 oracle in internal/subiso's tests
+// computes the identical order from the mutable graph.
 func MatchingOrder(p *Graph) []VertexID {
 	n := p.NumVertices()
 	order := make([]VertexID, 0, n)

@@ -23,14 +23,12 @@ type pair32 struct{ v1, v2 int32 }
 // for concurrent use; the package-level entry points draw from a
 // sync.Pool.
 //
-// The frozen searcher explores the exact same search tree as the legacy
-// mutable-graph searcher: seed pairs are enumerated in the same order and
-// sorted with the same comparator and sort implementation; candidates are
-// dedup'd to the same first-occurrence order and then ordered by the same
-// strict total order (gain desc, V1 asc, V2 asc — which any correct sort
-// maps to the same sequence); and node/budget accounting is identical. So
-// MCCS/MCS results, including budget-exhausted suboptimal ones, are
-// bit-identical across the two representations.
+// The exploration order is fixed: seed pairs are enumerated in (v1, v2)
+// order and sorted by degree product with sort.Slice; candidates are
+// dedup'd to their first-occurrence order and then ordered by the strict
+// total order (gain desc, V1 asc, V2 asc). Budget-exhausted results depend
+// on that order, so the test suite checks them, with every other result,
+// against an MCCS oracle on the mutable graph representation.
 type Searcher struct {
 	f1, f2         *graph.Frozen
 	alive1, alive2 []bool // optional masks (MCS greedy rounds); nil = all alive
@@ -90,10 +88,9 @@ func (s *Searcher) prepare(f1, f2 *graph.Frozen, alive1, alive2 []bool, budget i
 	if alive1 == nil && alive2 == nil && f1 == s.seedsFor1 && f2 == s.seedsFor2 {
 		return
 	}
-	// Same enumeration order and sort call as the legacy seedPairs: the
-	// degree-product comparator is not a total order, so reproducing the
-	// legacy tie permutation requires the identical sort on the identical
-	// input sequence.
+	// The degree-product comparator is not a total order, so the tie
+	// permutation depends on the sort implementation and its input
+	// sequence; both must stay as they are for results to stay stable.
 	s.seeds = s.seeds[:0]
 	for v1 := int32(0); int(v1) < f1.NumVertices(); v1++ {
 		if alive1 != nil && !alive1[v1] {
@@ -121,8 +118,8 @@ func (s *Searcher) prepare(f1, f2 *graph.Frozen, alive1, alive2 []bool, budget i
 	}
 }
 
-// run tries every seed pair at the root, mirroring the legacy MCCSCtx
-// root loop.
+// run tries every seed pair at the root, stopping once the best mapping
+// reaches the smaller edge count, the budget runs out or ctx is done.
 func (s *Searcher) run(ctx context.Context) {
 	s.ctx = ctx
 	for _, p := range s.seeds {
@@ -200,7 +197,7 @@ func (s *Searcher) extend() {
 // don't clobber the caller's slice. Gains are computed once here: the
 // place/unplace pairs in the extension loop are balanced, so the mapping
 // state when a candidate is tried equals the state it was enumerated
-// under, exactly as in the legacy searcher's sort-time/loop-time gains.
+// under.
 func (s *Searcher) candidates() ([]pair32, []int32) {
 	depth := len(s.cur)
 	for len(s.candStack) <= depth {
@@ -251,8 +248,8 @@ func (s *Searcher) candidates() ([]pair32, []int32) {
 		gains = append(gains, s.gain(c))
 	}
 	// Insertion sort by (gain desc, v1 asc, v2 asc) — a strict total
-	// order over the dedup'd pairs, so the result is the same sequence the
-	// legacy sort.Slice produces, without its allocations.
+	// order over the dedup'd pairs, so any correct sort yields this
+	// sequence; insertion sort does it without allocating.
 	for i := 1; i < len(out); i++ {
 		c, g := out[i], gains[i]
 		j := i - 1
@@ -310,8 +307,7 @@ func (s *Searcher) result() Result {
 // polls ctx at node-expansion boundaries and returns ctx.Err() when
 // cancelled. Each call is counted on the context's pipeline tracer
 // (CounterMCSCalls). Both graphs are frozen on first use (memoized on the
-// graphs) and the search runs on the CSR form; see MCCSLegacyCtx for the
-// mutable-representation ablation path.
+// graphs) and the search runs on the CSR form.
 func MCCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (Result, error) {
 	pipeline.From(ctx).Add(pipeline.CounterMCSCalls, 1)
 	if budget <= 0 {
@@ -332,9 +328,8 @@ func MCCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (Result, erro
 // MCSCtx returns a maximum common subgraph (possibly disconnected),
 // computed as a greedy union of MCCS components with the shared budget
 // split across component searches. Cancellation is checked between (and
-// inside) the component MCCS searches. The greedy union masks matched
-// vertices instead of tombstone-relabeling graph clones, but round
-// budgets, counters and component searches mirror MCSLegacyCtx exactly.
+// inside) the component MCCS searches. Each round masks the vertices
+// matched by earlier components and is counted as one MCS call.
 func MCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (Result, error) {
 	if budget <= 0 {
 		budget = DefaultBudget

@@ -25,8 +25,8 @@ func randomGraph(rng *rand.Rand, n, m int, labels []string) *graph.Graph {
 	return g
 }
 
-// TestFrozenSearcherMatchesLegacy cross-checks the frozen MCCS/MCS
-// searcher against the legacy mutable-graph implementation on random
+// TestFrozenSearcherMatchesLegacy cross-checks the Searcher against the
+// MCCS/MCS oracle on the mutable representation (legacy_test.go) on random
 // pairs, including tight budgets where results depend on the exact
 // exploration order: identical pairs, edge counts and exhaustion flags.
 func TestFrozenSearcherMatchesLegacy(t *testing.T) {
@@ -37,10 +37,7 @@ func TestFrozenSearcherMatchesLegacy(t *testing.T) {
 		g1 := randomGraph(rng, 4+rng.Intn(8), 3+rng.Intn(10), labels)
 		g2 := randomGraph(rng, 4+rng.Intn(8), 3+rng.Intn(10), labels)
 		for _, budget := range []int{30, 500, DefaultBudget} {
-			want, err := MCCSLegacyCtx(ctx, g1, g2, budget)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := legacyMCCS(g1, g2, budget)
 			got, err := MCCSCtx(ctx, g1, g2, budget)
 			if err != nil {
 				t.Fatal(err)
@@ -50,10 +47,7 @@ func TestFrozenSearcherMatchesLegacy(t *testing.T) {
 					iter, budget, got, want, g1, g2)
 			}
 
-			wantM, err := MCSLegacyCtx(ctx, g1, g2, budget)
-			if err != nil {
-				t.Fatal(err)
-			}
+			wantM := legacyMCS(g1, g2, budget)
 			gotM, err := MCSCtx(ctx, g1, g2, budget)
 			if err != nil {
 				t.Fatal(err)
@@ -64,10 +58,7 @@ func TestFrozenSearcherMatchesLegacy(t *testing.T) {
 			}
 
 			for _, k := range []Kind{KindMCCS, KindMCS} {
-				ws, err := SimilarityKindLegacyCtx(ctx, k, g1, g2, budget)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ws := legacySimilarity(k, g1, g2, budget)
 				gs, err := SimilarityKindCtx(ctx, k, g1, g2, budget)
 				if err != nil {
 					t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 func TestConcurrentBatchHammer(t *testing.T) {
 	gs := redundantGraphs(5, 2, 17)
 	eng := New(gs, Options{Budget: 1500})
-	naive := New(gs, Options{Budget: 1500, Naive: true})
+	naive := New(gs, Options{Budget: 1500})
 
 	// Precompute the oracle for every (member-set, target) workload.
 	n := len(gs)
@@ -30,11 +30,7 @@ func TestConcurrentBatchHammer(t *testing.T) {
 	}
 	want := make([][]float64, n)
 	for target := 0; target < n; target++ {
-		w, err := naive.BatchCtx(context.Background(), all, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[target] = w
+		want[target] = naiveBatch(naive, all, target)
 	}
 
 	const goroutines = 16
@@ -144,11 +140,7 @@ func TestCancelMidBatchNoLeakNoPartialCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive := New(gs, Options{Budget: 15000, Naive: true})
-	want, err := naive.BatchCtx(context.Background(), []int{0, 1, 2}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := naiveBatch(New(gs, Options{Budget: 15000}), []int{0, 1, 2}, 3)
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("post-cancel sim[%d] = %v, want %v", i, got[i], want[i])

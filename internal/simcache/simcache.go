@@ -25,9 +25,9 @@
 //
 // Determinism: by (1) each cached or computed value is a pure function of
 // the key pair, so batch results are independent of worker count,
-// scheduling, cache state and the naive/engine toggle — which the
-// differential suite in internal/cluster asserts against the sequential,
-// uncached path for whole clusterings and full pipeline selections. Cache
+// scheduling and cache state — which this package's tests assert against
+// a sequential, uncached oracle, and the golden selection suite asserts
+// for full pipeline runs across GOMAXPROCS settings. Cache
 // hits, misses and batch-deduplicated pairs are reported through the
 // pipeline counters carried in the context and accumulated in Stats.
 package simcache
@@ -63,18 +63,6 @@ type Options struct {
 	// MaxCanonVertices caps the graph size for canonical-form keys
 	// (default DefaultMaxCanonVertices).
 	MaxCanonVertices int
-	// Naive disables memoization, intra-batch deduplication and parallel
-	// fan-out: every requested pair is searched sequentially. Similarities
-	// are still evaluated on canonical representatives, so results are
-	// bit-identical to the engine path — the knob ablates the acceleration,
-	// not the semantics.
-	Naive bool
-	// DisableFrozen routes each similarity search through the legacy
-	// mutable-graph MCS/MCCS implementation instead of the frozen-CSR
-	// searcher. Results are bit-identical either way (the frozen searcher
-	// replicates the legacy exploration order exactly); the knob exists for
-	// ablation benchmarks and as an escape hatch.
-	DisableFrozen bool
 }
 
 // Stats is a snapshot of engine activity.
@@ -86,8 +74,7 @@ type Stats struct {
 	// Pruned counts pairs that shared an in-batch search with an earlier
 	// isomorphic pair instead of running their own.
 	Pruned int64
-	// Searches counts MCS/MCCS searches actually run (Misses - Pruned on
-	// the engine path; every request on the naive path).
+	// Searches counts MCS/MCCS searches actually run (Misses - Pruned).
 	Searches int64
 }
 
@@ -98,8 +85,6 @@ type Engine struct {
 	kind      mcs.Kind
 	budget    int
 	maxCanonV int
-	naive     bool
-	frozenOff bool
 
 	// keyMu guards keys and reps; both are filled lazily per index and are
 	// written at most once (the computed values are deterministic, so a
@@ -137,8 +122,6 @@ func New(graphs []*graph.Graph, opts Options) *Engine {
 		kind:      opts.Kind,
 		budget:    budget,
 		maxCanonV: maxCanonV,
-		naive:     opts.Naive,
-		frozenOff: opts.DisableFrozen,
 		keys:      make([]string, len(graphs)),
 		reps:      make([]*graph.Graph, len(graphs)),
 		memo:      make(map[pairKey]float64),
@@ -213,14 +196,6 @@ func (e *Engine) pairOf(i, j int) (pairKey, *graph.Graph, *graph.Graph) {
 	return pairKey{ki, kj}, ri, rj
 }
 
-// compute runs the similarity search for one representative pair.
-func (e *Engine) compute(ctx context.Context, lo, hi *graph.Graph) (float64, error) {
-	if e.frozenOff {
-		return mcs.SimilarityKindLegacyCtx(ctx, e.kind, lo, hi, e.budget)
-	}
-	return mcs.SimilarityKindCtx(ctx, e.kind, lo, hi, e.budget)
-}
-
 // SimilarityCtx returns the similarity of graphs i and j of the engine's
 // universe.
 func (e *Engine) SimilarityCtx(ctx context.Context, i, j int) (float64, error) {
@@ -235,10 +210,10 @@ func (e *Engine) SimilarityCtx(ctx context.Context, i, j int) (float64, error) {
 // member order. Distinct cache misses are searched in parallel; the work
 // is scheduled in deterministic (first-occurrence) order and every value
 // is a pure function of its canonical key pair, so results are
-// bit-identical to the sequential naive path for any worker count. On
-// cancellation it returns (nil, ctx.Err()) and caches nothing — a batch is
-// memoized only once all of its searches have completed, so no partially
-// established pair is ever visible. Cache activity is reported on the
+// bit-identical to a sequential, uncached evaluation for any worker
+// count. On cancellation it returns (nil, ctx.Err()) and caches nothing —
+// a batch is memoized only once all of its searches have completed, so no
+// partially established pair is ever visible. Cache activity is reported on the
 // context's pipeline tracer.
 func (e *Engine) BatchCtx(ctx context.Context, members []int, target int) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
@@ -246,23 +221,6 @@ func (e *Engine) BatchCtx(ctx context.Context, members []int, target int) ([]flo
 	}
 	out := make([]float64, len(members))
 	if len(members) == 0 {
-		return out, nil
-	}
-
-	if e.naive {
-		for idx, m := range members {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			_, lo, hi := e.pairOf(m, target)
-			v, err := e.compute(ctx, lo, hi)
-			if err != nil {
-				return nil, err
-			}
-			out[idx] = v
-		}
-		e.misses.Add(int64(len(members)))
-		e.searches.Add(int64(len(members)))
 		return out, nil
 	}
 
@@ -304,7 +262,7 @@ func (e *Engine) BatchCtx(ctx context.Context, members []int, target int) ([]flo
 	errs := make([]error, len(searches))
 	ferr := par.ForCtx(ctx, len(searches), func(si int) {
 		s := slots[searches[si]]
-		results[si], errs[si] = e.compute(ctx, s.lo, s.hi)
+		results[si], errs[si] = mcs.SimilarityKindCtx(ctx, e.kind, s.lo, s.hi, e.budget)
 	})
 	if ferr != nil {
 		return nil, ferr

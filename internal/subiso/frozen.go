@@ -16,12 +16,11 @@ import (
 // materialize a Mapping. A Matcher is not safe for concurrent use; the
 // package-level entry points draw from a sync.Pool.
 //
-// The frozen matcher explores the exact same search tree as the legacy
-// mutable-graph matcher: the matching order is graph.MatchingOrder cached
-// on the Frozen, candidate and neighbor enumeration follow the same
-// sorted order, and node accounting is identical — so Contains,
-// ContainsCtx and ContainsBudget answers (including non-definitive budget
-// exhaustion) are bit-identical across the two representations.
+// The search visits pattern vertices in graph.MatchingOrder (cached on the
+// Frozen) and candidate target vertices in ascending order, so embeddings
+// are enumerated in a deterministic order. The test suite checks answers,
+// budget exhaustion and enumeration order against a VF2 oracle on the
+// mutable graph representation.
 type Matcher struct {
 	t, p     *graph.Frozen
 	order    []int32
@@ -33,6 +32,12 @@ type Matcher struct {
 	stopped  bool
 	ctx      context.Context
 	ctxErr   error
+
+	// enumerate makes a complete embedding append to embeddings instead
+	// of ending the search; limit caps them (zero = unlimited).
+	enumerate  bool
+	limit      int
+	embeddings []Mapping
 }
 
 // NewMatcher returns an empty matcher ready for use.
@@ -65,6 +70,9 @@ func (m *Matcher) reset(t, p *graph.Frozen) {
 	m.stopped = false
 	m.ctx = nil
 	m.ctxErr = nil
+	m.enumerate = false
+	m.limit = 0
+	m.embeddings = nil
 }
 
 // Contains reports whether pattern p is subgraph-isomorphic to target t.
@@ -109,6 +117,22 @@ func (m *Matcher) ContainsBudget(t, p *graph.Frozen, maxNodes int) (contained, d
 	return false, !m.stopped || m.nodes < maxNodes
 }
 
+// FindAll returns up to limit embeddings of p in t (all of them if limit
+// is zero), in search order. Unlike the boolean checks it allocates one
+// Mapping per embedding.
+func (m *Matcher) FindAll(t, p *graph.Frozen, limit int) []Mapping {
+	if quickRejectFrozen(t, p) {
+		return nil
+	}
+	m.reset(t, p)
+	m.enumerate = true
+	m.limit = limit
+	m.search(0)
+	out := m.embeddings
+	m.embeddings = nil
+	return out
+}
+
 func (m *Matcher) search(depth int) {
 	if m.stopped {
 		return
@@ -127,15 +151,28 @@ func (m *Matcher) search(depth int) {
 	m.nodes++
 	if depth == len(m.order) {
 		m.found = true
-		m.stopped = true
+		if !m.enumerate {
+			m.stopped = true
+			return
+		}
+		var mp Mapping // stays nil for the empty pattern: FindOne reports no embedding
+		if len(m.core) > 0 {
+			mp = make(Mapping, len(m.core))
+			for i, tv := range m.core {
+				mp[i] = graph.VertexID(tv)
+			}
+		}
+		m.embeddings = append(m.embeddings, mp)
+		if m.limit > 0 && len(m.embeddings) >= m.limit {
+			m.stopped = true
+		}
 		return
 	}
 
 	pv := m.order[depth]
 	// Candidate enumeration: if pv has an already-mapped pattern neighbor,
 	// candidates are the target neighbors of that neighbor's image;
-	// otherwise every target vertex. Both are iterated in ascending order,
-	// matching the legacy matcher.
+	// otherwise every target vertex. Both are iterated in ascending order.
 	for _, pn := range m.p.Neighbors(pv) {
 		if m.core[pn] >= 0 {
 			for _, tv := range m.t.Neighbors(m.core[pn]) {
@@ -178,8 +215,9 @@ func (m *Matcher) try(pv, tv int32, depth int) {
 	m.used[tv] = false
 }
 
-// quickRejectFrozen applies the same cheap necessary conditions as
-// quickReject, on precomputed frozen summaries.
+// quickRejectFrozen applies cheap necessary conditions before running VF2,
+// on precomputed frozen summaries: enough vertices, edges and vertices of
+// every pattern label.
 func quickRejectFrozen(t, p *graph.Frozen) bool {
 	if p.NumVertices() == 0 {
 		return false // empty pattern trivially embeds
@@ -201,8 +239,7 @@ func quickRejectFrozen(t, p *graph.Frozen) bool {
 // node-expansion boundaries and returns ctx.Err() when cancelled before
 // an answer was established. Each call is counted on the context's
 // pipeline tracer (CounterVF2Calls). Both graphs are frozen on first use
-// (memoized on the graphs), and the search runs on the CSR form; see
-// ContainsLegacyCtx for the mutable-representation ablation path.
+// (memoized on the graphs), and the search runs on the CSR form.
 func ContainsCtx(ctx context.Context, t, p *graph.Graph) (bool, error) {
 	pipeline.From(ctx).Add(pipeline.CounterVF2Calls, 1)
 	m := matcherPool.Get().(*Matcher)

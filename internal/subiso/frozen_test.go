@@ -3,6 +3,7 @@ package subiso
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -25,12 +26,13 @@ func randomGraph(rng *rand.Rand, n, m int, labels []string) *graph.Graph {
 	return g
 }
 
-// TestFrozenMatchesLegacy cross-checks the frozen matcher against the
-// legacy mutable-graph implementation on random (host, pattern) pairs:
-// identical answers for Contains, and identical (contained, definitive)
-// pairs for ContainsBudget at tight budgets — the latter only holds
-// because the two matchers expand the exact same search tree in the same
-// order.
+// TestFrozenMatchesLegacy cross-checks the Matcher against the VF2 oracle
+// on the mutable representation (legacy_test.go) on random (host,
+// pattern) pairs: identical answers for Contains and ContainsCtx,
+// identical (contained, definitive) pairs for ContainsBudget at tight
+// budgets, and identical embeddings in identical order from FindAll and
+// FindOne. The budget and order checks only hold because the two
+// matchers expand the exact same search tree in the same order.
 func TestFrozenMatchesLegacy(t *testing.T) {
 	labels := []string{"C", "N", "O", "S"}
 	rng := rand.New(rand.NewSource(42))
@@ -44,14 +46,7 @@ func TestFrozenMatchesLegacy(t *testing.T) {
 			pat = randomGraph(rng, 2+rng.Intn(5), 1+rng.Intn(6), labels)
 		}
 
-		legacy := func() bool {
-			if quickReject(host, pat) {
-				return false
-			}
-			s := newState(host, pat, Options{MaxSolutions: 1})
-			s.search(0)
-			return len(s.results) > 0
-		}()
+		legacy := LegacyContains(host, pat)
 		if got := Contains(host, pat); got != legacy {
 			t.Fatalf("iter %d: frozen Contains=%v legacy=%v\nhost=%v\npat=%v",
 				iter, got, legacy, host, pat)
@@ -59,27 +54,29 @@ func TestFrozenMatchesLegacy(t *testing.T) {
 		if got, err := ContainsCtx(context.Background(), host, pat); err != nil || got != legacy {
 			t.Fatalf("iter %d: frozen ContainsCtx=(%v,%v) legacy=%v", iter, got, err, legacy)
 		}
-		if got, err := ContainsLegacyCtx(context.Background(), host, pat); err != nil || got != legacy {
-			t.Fatalf("iter %d: ContainsLegacyCtx=(%v,%v) want %v", iter, got, err, legacy)
-		}
 
 		for _, budget := range []int{1, 5, 50, 100000} {
-			wantC, wantD := func() (bool, bool) {
-				if quickReject(host, pat) {
-					return false, true
-				}
-				s := newState(host, pat, Options{MaxSolutions: 1, MaxNodes: budget})
-				s.search(0)
-				if len(s.results) > 0 {
-					return true, true
-				}
-				return false, !s.stopped || s.nodes < budget
-			}()
+			wantC, wantD := LegacyContainsBudget(host, pat, budget)
 			gotC, gotD := ContainsBudget(host, pat, budget)
 			if gotC != wantC || gotD != wantD {
 				t.Fatalf("iter %d budget %d: frozen=(%v,%v) legacy=(%v,%v)",
 					iter, budget, gotC, gotD, wantC, wantD)
 			}
+		}
+
+		for _, limit := range []int{0, 1, 3} {
+			want, _ := LegacyFindAll(host, pat, limit, 0)
+			if got := FindAll(host, pat, Options{MaxSolutions: limit}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d limit %d: FindAll diverges\n frozen: %v\n legacy: %v",
+					iter, limit, got, want)
+			}
+		}
+		var wantOne Mapping
+		if ms, _ := LegacyFindAll(host, pat, 1, 0); len(ms) > 0 {
+			wantOne = ms[0]
+		}
+		if got := FindOne(host, pat); !reflect.DeepEqual(got, wantOne) {
+			t.Fatalf("iter %d: FindOne = %v, legacy %v", iter, got, wantOne)
 		}
 	}
 }

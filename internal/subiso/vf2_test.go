@@ -78,11 +78,11 @@ func TestFindAllCountsAutomorphisms(t *testing.T) {
 	// A single unlabeled-equivalent edge C-C has 6 embeddings in CCC
 	// triangle (3 edges × 2 directions).
 	p := build([]string{"C", "C"}, [][2]int{{0, 1}})
-	if got := Count(tri, p, 0); got != 6 {
-		t.Errorf("Count = %d, want 6", got)
+	if got := len(FindAll(tri, p, Options{})); got != 6 {
+		t.Errorf("embeddings = %d, want 6", got)
 	}
 	// Triangle in triangle: 3! = 6 automorphisms.
-	if got := Count(tri, tri, 0); got != 6 {
+	if got := len(FindAll(tri, tri, Options{})); got != 6 {
 		t.Errorf("automorphism count = %d, want 6", got)
 	}
 }
@@ -94,21 +94,8 @@ func TestMaxSolutionsLimit(t *testing.T) {
 	if len(ms) != 2 {
 		t.Errorf("MaxSolutions not honored: got %d", len(ms))
 	}
-	if got := Count(tri, p, 3); got != 3 {
-		t.Errorf("Count limit not honored: got %d", got)
-	}
-}
-
-func TestForEachEarlyStop(t *testing.T) {
-	tri := build([]string{"C", "C", "C"}, [][2]int{{0, 1}, {1, 2}, {2, 0}})
-	p := build([]string{"C", "C"}, [][2]int{{0, 1}})
-	calls := 0
-	ForEach(tri, p, func(Mapping) bool {
-		calls++
-		return false
-	})
-	if calls != 1 {
-		t.Errorf("ForEach did not stop after callback returned false: %d calls", calls)
+	if m := FindOne(tri, p); m == nil || m[0] != ms[0][0] || m[1] != ms[0][1] {
+		t.Errorf("FindOne = %v, want the first embedding %v", m, ms[0])
 	}
 }
 
@@ -229,14 +216,22 @@ func randomConnectedGraph(r *rand.Rand, n, m int) *graph.Graph {
 	return g
 }
 
+// TestMaxNodesBudget: a node-budgeted containment check may give up, but
+// a definitive answer never contradicts the exhaustive search, and an
+// ample budget always answers definitively.
 func TestMaxNodesBudget(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	g := randomConnectedGraph(r, 30, 60)
 	p := graph.RandomConnectedSubgraph(g, 5, r)
-	full := FindAll(g, p, Options{})
-	budgeted := FindAll(g, p, Options{MaxNodes: 5})
-	if len(budgeted) > len(full) {
-		t.Error("budgeted search found more than exhaustive search")
+	want := Contains(g, p)
+	for _, budget := range []int{1, 5, 50, 1 << 20} {
+		got, definitive := ContainsBudget(g, p, budget)
+		if got && !want || definitive && got != want {
+			t.Errorf("budget %d: (%v, definitive %v), exhaustive %v", budget, got, definitive, want)
+		}
+	}
+	if _, definitive := ContainsBudget(g, p, 1<<20); !definitive {
+		t.Error("an ample budget did not answer definitively")
 	}
 }
 

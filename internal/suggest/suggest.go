@@ -264,6 +264,12 @@ func (e *Engine) SuggestCtx(ctx context.Context, q *graph.Graph, opts Options) (
 			res.Stats.Faults++
 			verdicts = nil
 			e.degrade(ctrl, &res.Stats, "suggest_verify_fault")
+		case ctrl != nil && resilience.Salvageable(context.Cause(ctx)):
+			// Verification that returns after the keystroke deadline —
+			// a stalled search that never polled the context — is as late
+			// as one the deadline cut short: its verdicts do not count.
+			verdicts = nil
+			e.degrade(ctrl, &res.Stats, "suggest_verify_budget")
 		case verr == nil:
 			res.Stats.Verified = true
 		case ctrl != nil && resilience.Salvageable(verr):

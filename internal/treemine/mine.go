@@ -50,21 +50,11 @@ func (o *MineOptions) defaults() {
 	}
 }
 
-// Mine enumerates frequent free subtrees of db by pattern growth (Chi et
+// MineCtx enumerates frequent free subtrees of db by pattern growth (Chi et
 // al. style): frequent single edges are grown one leaf at a time, with
 // canonical-string deduplication and anti-monotone support pruning (a
 // child's support is counted only within its parent's supporting graphs).
-//
-// Deprecated: use MineCtx. This wrapper predates PR 1's context plumbing:
-// it runs uncancellable and reports to no pipeline trace.
-func Mine(db *graph.DB, opts MineOptions) []*FrequentTree {
-	// context.Background is never cancelled, so MineCtx cannot fail here.
-	trees, _ := MineCtx(context.Background(), db, opts)
-	return trees
-}
-
-// MineCtx is Mine with cooperative cancellation and tracing: the pattern
-// growth checks ctx between parent trees and returns ctx.Err() cleanly
+// The growth checks ctx between parent trees and returns ctx.Err() cleanly
 // (no partial result), and the run is reported to the context's pipeline
 // tracer as StageMine with CounterTreesMined.
 func MineCtx(ctx context.Context, db *graph.DB, opts MineOptions) ([]*FrequentTree, error) {

@@ -8,6 +8,17 @@ import (
 	"repro/internal/subiso"
 )
 
+// mineT runs MineCtx under a background context, failing the test on
+// error.
+func mineT(tb testing.TB, db *graph.DB, opts MineOptions) []*FrequentTree {
+	tb.Helper()
+	trees, err := MineCtx(context.Background(), db, opts)
+	if err != nil {
+		tb.Fatalf("MineCtx: %v", err)
+	}
+	return trees
+}
+
 // recountT runs RecountCtx under a background context, failing the test
 // on error.
 func recountT(t *testing.T, db *graph.DB, trees []*FrequentTree, minSupport float64) []*FrequentTree {
@@ -24,7 +35,7 @@ func TestRecountVerifiesSupports(t *testing.T) {
 	// Mine on a biased "sample" (just the first two graphs) at a low
 	// threshold, then recount on the full database.
 	sample := graph.NewDB("sample", []*graph.Graph{db.Graph(0).Clone(), db.Graph(1).Clone()})
-	mined := Mine(sample, MineOptions{MinSupport: 0.4, MaxEdges: 2})
+	mined := mineT(t, sample, MineOptions{MinSupport: 0.4, MaxEdges: 2})
 	if len(mined) == 0 {
 		t.Fatal("nothing mined from sample")
 	}
@@ -48,7 +59,7 @@ func TestRecountDropsInfrequent(t *testing.T) {
 	db := miningDB()
 	// A tree frequent only in a sample: S-C-O path occurs in 3/6 graphs
 	// (the two stars and the C-O-S path); at min 0.9 recount drops it.
-	mined := Mine(db, MineOptions{MinSupport: 0.2, MaxEdges: 2})
+	mined := mineT(t, db, MineOptions{MinSupport: 0.2, MaxEdges: 2})
 	verified := recountT(t, db, mined, 0.9)
 	for _, ft := range verified {
 		if ft.Frequency(db.Len()) < 0.9 {

@@ -173,7 +173,7 @@ func miningDB() *graph.DB {
 
 func TestMineFindsFrequentEdge(t *testing.T) {
 	db := miningDB()
-	trees := Mine(db, MineOptions{MinSupport: 0.9, MaxEdges: 3})
+	trees := mineT(t, db, MineOptions{MinSupport: 0.9, MaxEdges: 3})
 	if len(trees) != 1 {
 		t.Fatalf("support 0.9 should yield only C-O, got %d trees", len(trees))
 	}
@@ -188,7 +188,7 @@ func TestMineFindsFrequentEdge(t *testing.T) {
 
 func TestMineSupportsAreSound(t *testing.T) {
 	db := miningDB()
-	trees := Mine(db, MineOptions{MinSupport: 0.3, MaxEdges: 3})
+	trees := mineT(t, db, MineOptions{MinSupport: 0.3, MaxEdges: 3})
 	if len(trees) == 0 {
 		t.Fatal("no trees mined")
 	}
@@ -219,7 +219,7 @@ func containsIdx(s []int, x int) bool {
 
 func TestMineAntiMonotone(t *testing.T) {
 	db := miningDB()
-	trees := Mine(db, MineOptions{MinSupport: 0.3, MaxEdges: 4})
+	trees := mineT(t, db, MineOptions{MinSupport: 0.3, MaxEdges: 4})
 	bySize := map[int]int{}
 	for _, ft := range trees {
 		bySize[ft.Pattern.NumEdges()]++
@@ -235,7 +235,7 @@ func TestMineAntiMonotone(t *testing.T) {
 
 func TestMineNoDuplicateCanon(t *testing.T) {
 	db := miningDB()
-	trees := Mine(db, MineOptions{MinSupport: 0.2, MaxEdges: 3})
+	trees := mineT(t, db, MineOptions{MinSupport: 0.2, MaxEdges: 3})
 	seen := map[string]bool{}
 	for _, ft := range trees {
 		if seen[ft.Canon] {
@@ -247,7 +247,7 @@ func TestMineNoDuplicateCanon(t *testing.T) {
 
 func TestMineMaxTreesCap(t *testing.T) {
 	db := miningDB()
-	trees := Mine(db, MineOptions{MinSupport: 0.2, MaxEdges: 3, MaxTrees: 3})
+	trees := mineT(t, db, MineOptions{MinSupport: 0.2, MaxEdges: 3, MaxTrees: 3})
 	if len(trees) > 3 {
 		t.Errorf("MaxTrees not honored: %d", len(trees))
 	}
@@ -255,7 +255,7 @@ func TestMineMaxTreesCap(t *testing.T) {
 
 func TestFeatureVectors(t *testing.T) {
 	db := miningDB()
-	trees := Mine(db, MineOptions{MinSupport: 0.5, MaxEdges: 2})
+	trees := mineT(t, db, MineOptions{MinSupport: 0.5, MaxEdges: 2})
 	vecs := FeatureVectors(db, trees)
 	if len(vecs) != db.Len() {
 		t.Fatalf("vector count = %d", len(vecs))
@@ -304,7 +304,7 @@ func TestSubtreeSimilarityRange(t *testing.T) {
 
 func TestSelectFeaturesGreedy(t *testing.T) {
 	db := miningDB()
-	all := Mine(db, MineOptions{MinSupport: 0.2, MaxEdges: 3})
+	all := mineT(t, db, MineOptions{MinSupport: 0.2, MaxEdges: 3})
 	if len(all) < 4 {
 		t.Skipf("too few trees (%d) for a meaningful selection test", len(all))
 	}
@@ -331,7 +331,7 @@ func TestSelectFeaturesGreedy(t *testing.T) {
 
 func TestSelectFeaturesEdgeCases(t *testing.T) {
 	db := miningDB()
-	all := Mine(db, MineOptions{MinSupport: 0.2, MaxEdges: 2})
+	all := mineT(t, db, MineOptions{MinSupport: 0.2, MaxEdges: 2})
 	if got := SelectFeatures(all, 0); len(got) != len(all) {
 		t.Error("k<=0 should return all")
 	}
@@ -373,6 +373,6 @@ func BenchmarkMine(b *testing.B) {
 	db := graph.NewDB("bench", gs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Mine(db, MineOptions{MinSupport: 0.2, MaxEdges: 3})
+		mineT(b, db, MineOptions{MinSupport: 0.2, MaxEdges: 3})
 	}
 }

@@ -350,11 +350,7 @@ func (m *Maintainer) tryRefresh(stdctx context.Context, gs []*graph.Graph) (time
 	}
 
 	start := time.Now()
-	ctx := core.NewContext(db, csgs)
-	if m.cfg.DisableCoverEngine {
-		ctx.DisableCoverEngine()
-	}
-	sel, err := core.SelectCtx(stdctx, ctx, m.cfg.Budget, m.cfg.Selection)
+	sel, err := core.SelectCtx(stdctx, core.NewContext(db, csgs), m.cfg.Budget, m.cfg.Selection)
 	if err != nil {
 		return 0, fmt.Errorf("catapult: reselect after insert: %w", err)
 	}

@@ -187,45 +187,6 @@ func TestSelectCtxMatchesSelect(t *testing.T) {
 	}
 }
 
-// TestSelectEngineOnOffIdentical is the facade-level differential check:
-// full pipeline runs with the coverage engine enabled vs disabled are
-// byte-identical across several seeds (the engine accelerates scoring but
-// must not perturb selection).
-func TestSelectEngineOnOffIdentical(t *testing.T) {
-	db := dataset.AIDSLike(40, 1)
-	for _, seed := range []int64{7, 19, 42} {
-		cfg := stagedConfig()
-		cfg.Seed = seed
-		on, err := Select(db, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.DisableCoverEngine = true
-		off, err := Select(db, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(on.Patterns) != len(off.Patterns) {
-			t.Fatalf("seed %d: pattern counts differ: %d (engine) vs %d (naive)",
-				seed, len(on.Patterns), len(off.Patterns))
-		}
-		for i := range on.Patterns {
-			a, b := on.Patterns[i], off.Patterns[i]
-			if a.Graph.String() != b.Graph.String() || a.Score != b.Score ||
-				a.Ccov != b.Ccov || a.Lcov != b.Lcov || a.Div != b.Div || a.Cog != b.Cog {
-				t.Errorf("seed %d: pattern %d differs:\n engine: %v score=%v\n naive:  %v score=%v",
-					seed, i, a.Graph, a.Score, b.Graph, b.Score)
-			}
-		}
-		if on.Counters[pipeline.CounterCoverMisses] == 0 {
-			t.Errorf("seed %d: engine run reported no cover misses", seed)
-		}
-		if n := off.Counters[pipeline.CounterCoverMisses]; n != 0 {
-			t.Errorf("seed %d: disabled engine still reported %d cover misses", seed, n)
-		}
-	}
-}
-
 // cancelOnNthVF2 cancels the run on the n-th VF2 search observed after
 // pattern selection has started — i.e. in the middle of a coverage-engine
 // verification batch.

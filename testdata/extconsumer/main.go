@@ -50,9 +50,8 @@ func main() {
 			Deadline: 30 * time.Second,
 			Weights:  catapult.DegradationWeights{Clustering: 0.6, CSG: 0.1, Selection: 0.3},
 		},
-		Observer:           catapult.MetricsObserver(m),
-		Seed:               1,
-		DisableFrozenGraph: false,
+		Observer: catapult.MetricsObserver(m),
+		Seed:     1,
 	}
 
 	res, err := catapult.SelectCtx(context.Background(), db, cfg)
