@@ -96,12 +96,10 @@ func (ctx *Context) scoreWith(p *graph.Graph, selected []*graph.Graph, opts Opti
 // scoreWithCtx is scoreWith with cooperative cancellation, threaded into
 // the VF2 coverage checks and the pruned min-GED diversity loop.
 func (sc *Context) scoreWithCtx(stdctx context.Context, p *graph.Graph, selected []*graph.Graph, opts Options) (score, ccov, lcov, div, cog float64, err error) {
-	ccov, err = sc.ccovCtx(stdctx, p)
+	t, err := sc.termsCtx(stdctx, p, opts)
 	if err != nil {
 		return 0, 0, 0, 0, 0, err
 	}
-	lcov = sc.LCov(p)
-	cog = p.CognitiveLoad()
 	div = 1
 	if !opts.DisableDiversity && len(selected) > 0 {
 		d, _, derr := ged.MinDistanceCtx(stdctx, p, selected)
@@ -110,21 +108,58 @@ func (sc *Context) scoreWithCtx(stdctx context.Context, p *graph.Graph, selected
 		}
 		div = float64(d)
 	}
-	score = ccov * lcov * div
-	if !opts.DisableCognitiveLoad {
-		if cog == 0 {
-			return 0, ccov, lcov, div, cog, nil
-		}
-		score /= cog
+	return t.score(div, opts), t.ccov, t.lcov, div, t.cog, nil
+}
+
+// terms are the factors of a candidate's Eq-2 score that need no GED.
+type terms struct {
+	ccov, lcov, cog float64
+	qf              float64 // query-log frequency; 0 without a log
+	// zero marks cog == 0 under the 1/cog term: the score is 0 whatever
+	// the diversity, and the query log is not consulted.
+	zero bool
+}
+
+// termsCtx computes ccov (through the coverage engine), lcov, cog and the
+// query-log frequency of p. The query log is consulted exactly where the
+// score needs it, so its engine sees the same containment tests whether a
+// candidate is later scored exactly or skipped by a bound.
+func (sc *Context) termsCtx(stdctx context.Context, p *graph.Graph, opts Options) (terms, error) {
+	ccov, err := sc.ccovCtx(stdctx, p)
+	if err != nil {
+		return terms{}, err
+	}
+	t := terms{ccov: ccov, lcov: sc.LCov(p), cog: p.CognitiveLoad()}
+	if !opts.DisableCognitiveLoad && t.cog == 0 {
+		t.zero = true
+		return t, nil
 	}
 	if len(opts.QueryLog) > 0 {
-		qf, qerr := sc.queryLogFrequencyCtx(stdctx, p, opts.QueryLog)
-		if qerr != nil {
-			return 0, 0, 0, 0, 0, qerr
+		if t.qf, err = sc.queryLogFrequencyCtx(stdctx, p, opts.QueryLog); err != nil {
+			return terms{}, err
 		}
-		score *= 1 + qf
 	}
-	return score, ccov, lcov, div, cog, nil
+	return t, nil
+}
+
+// score is Eq 2 for the given diversity value, under the ablation and
+// query-log options. Its float operations run in one fixed order, so for
+// the same terms a larger div never gives a smaller score: IEEE rounding
+// is monotone and every factor is non-negative. Bound-ordered selection
+// relies on this to bound a score from above by scoring an upper bound of
+// div.
+func (t terms) score(div float64, opts Options) float64 {
+	if t.zero {
+		return 0
+	}
+	score := t.ccov * t.lcov * div
+	if !opts.DisableCognitiveLoad {
+		score /= t.cog
+	}
+	if len(opts.QueryLog) > 0 {
+		score *= 1 + t.qf
+	}
+	return score
 }
 
 // queryLogFrequencyCtx returns the fraction of logged queries containing p,

@@ -102,8 +102,28 @@ const (
 	CounterVF2Calls Counter = "vf2_calls"
 	// CounterMCSCalls counts MCS/MCCS similarity computations.
 	CounterMCSCalls Counter = "mcs_calls"
+	// CounterMCSBudgetExhausted counts MCS/MCCS searches stopped by their
+	// node budget before exploring their whole search space.
+	CounterMCSBudgetExhausted Counter = "mcs_budget_exhausted"
 	// CounterGEDCalls counts full (non-pruned) GED computations.
 	CounterGEDCalls Counter = "ged_calls"
+	// CounterGEDExact counts GED computations of the min-GED loop that A*
+	// finished within its node budget.
+	CounterGEDExact Counter = "ged_exact"
+	// CounterGEDBudgetExhausted counts GED computations of the min-GED loop
+	// whose A* ran out of its node budget and fell back to the bipartite
+	// approximation.
+	CounterGEDBudgetExhausted Counter = "ged_budget_exhausted"
+	// CounterGEDSizeLimit counts GED computations of the min-GED loop that
+	// skipped A* because the pair is above the exact size limit and used
+	// the bipartite approximation. With the resilience controller's
+	// degrade_ged_approx downgrades, the three GED outcome counters sum to
+	// ged_calls.
+	CounterGEDSizeLimit Counter = "ged_size_limit"
+	// CounterSelectBoundSkipped counts selection candidates whose exact
+	// min-GED diversity was never computed because the upper bound of
+	// their score could not beat the round's best score.
+	CounterSelectBoundSkipped Counter = "select_bound_skipped"
 	// CounterCoverHits counts containment verdicts served from the coverage
 	// engine's memo cache without running VF2.
 	CounterCoverHits Counter = "cover_cache_hits"
