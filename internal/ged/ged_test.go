@@ -5,8 +5,11 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/graph"
+	"repro/internal/pipeline"
+	"repro/internal/resilience"
 )
 
 func build(labels []string, edges [][2]int) *graph.Graph {
@@ -289,5 +292,96 @@ func BenchmarkApproxGED(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Approx(g1, g2)
+	}
+}
+
+// TestSelectBoundInequalities checks the inequalities bound-ordered
+// selection relies on, on random labeled pairs on both sides of
+// exactSizeLimit: LowerBound ≤ Distance ≤ Approx, the same for Exact at
+// budget 1 (which nearly always falls back), and MinDistanceCtx(p, S) ≤
+// Approx(p, q) for every q of S.
+func TestSelectBoundInequalities(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	small, large := 0, 0
+	for i := 0; i < 400; i++ {
+		a, b := randomLabeledPair(rng, 6+i%8)
+		if a.NumVertices()+b.NumVertices() > exactSizeLimit {
+			large++
+		} else {
+			small++
+		}
+		lb, ap := LowerBound(a, b), Approx(a, b)
+		if d := Distance(a, b); d < lb || d > ap {
+			t.Fatalf("pair %d: Distance %d outside [LowerBound %d, Approx %d]\n a: %v\n b: %v", i, d, lb, ap, a, b)
+		}
+		if d, _ := Exact(a, b, 1); d < lb || d > ap {
+			t.Fatalf("pair %d: Exact at budget 1 = %d outside [LowerBound %d, Approx %d]", i, d, lb, ap)
+		}
+	}
+	if small < 50 || large < 50 {
+		t.Fatalf("pairs too one-sided around the size limit: %d small, %d large", small, large)
+	}
+	for i := 0; i < 150; i++ {
+		p, _ := randomLabeledPair(rng, 9)
+		set := make([]*graph.Graph, 1+rng.Intn(6))
+		for j := range set {
+			set[j], _ = randomLabeledPair(rng, 9)
+		}
+		d, _, err := MinDistanceCtx(context.Background(), p, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, q := range set {
+			if ap := Approx(p, q); d > ap {
+				t.Fatalf("set %d: MinDistanceCtx %d > Approx %d against member %d", i, d, ap, j)
+			}
+		}
+	}
+}
+
+// TestGEDOutcomeCountersSumToCalls checks that every GED computation of
+// the min-GED loop is counted by exactly one outcome: exact A*, A* out of
+// budget, above the size limit, or downgraded by the resilience controller.
+func TestGEDOutcomeCountersSumToCalls(t *testing.T) {
+	rec := pipeline.NewRecorder()
+	ctx := pipeline.WithTrace(context.Background(), rec)
+	now := time.Now()
+	ctrl := resilience.NewController(resilience.Config{GEDApproxFraction: 1e-9}, now, now.Add(time.Hour))
+	ctrl.Observe(rec)
+	ctrl.BeginPhase(pipeline.StageSelect)
+	degraded := resilience.WithController(ctx, ctrl)
+	time.Sleep(time.Millisecond) // past the downgrade point
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 120; i++ {
+		p, _ := randomLabeledPair(rng, 4+i%9)
+		set := make([]*graph.Graph, 1+rng.Intn(4))
+		for j := range set {
+			set[j], _ = randomLabeledPair(rng, 4+i%9)
+		}
+		c := ctx
+		if i%4 == 3 {
+			c = degraded
+		}
+		if _, _, err := MinDistanceCtx(c, p, set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	calls := rec.Total(pipeline.CounterGEDCalls)
+	parts := map[pipeline.Counter]int64{}
+	for _, c := range []pipeline.Counter{pipeline.CounterGEDExact, pipeline.CounterGEDBudgetExhausted,
+		pipeline.CounterGEDSizeLimit, resilience.DegradeCounterPrefix + "ged_approx"} {
+		parts[c] = rec.Total(c)
+	}
+	sum := int64(0)
+	for _, n := range parts {
+		sum += n
+	}
+	if sum != calls {
+		t.Fatalf("GED outcomes %v sum to %d, ged_calls = %d", parts, sum, calls)
+	}
+	for c, n := range parts {
+		if n == 0 && c != pipeline.CounterGEDBudgetExhausted {
+			t.Errorf("outcome %s never occurred: %v", c, parts)
+		}
 	}
 }
