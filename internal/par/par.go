@@ -15,7 +15,8 @@ import (
 	"repro/internal/resilience"
 )
 
-// For runs fn(i) for every i in [0, n), using up to GOMAXPROCS workers.
+// For runs fn(i) for every i in [0, n), using up to GOMAXPROCS workers
+// (see Workers).
 // fn may write only to per-index state. If fn panics in a worker, the panic
 // is recovered there and re-raised on the caller's goroutine after every
 // worker has exited — identical to the inline (single-worker) behavior. The
@@ -67,13 +68,33 @@ func ForCtxRecover(ctx context.Context, n int, fn func(i int)) (faults []*resili
 	return run(ctx, n, fn, true)
 }
 
+type spareCoreKey struct{}
+
+// WithSpareCore marks ctx so that the loops run under it leave one core to
+// other work: they use GOMAXPROCS−1 workers, never fewer than one. A
+// served refresh runs under this mark, so that requests answered while
+// it recomputes the tenant's state find a core free.
+func WithSpareCore(ctx context.Context) context.Context {
+	return context.WithValue(ctx, spareCoreKey{}, true)
+}
+
+// Workers returns the number of workers a loop under ctx may run:
+// GOMAXPROCS, one fewer under WithSpareCore, and at least one.
+func Workers(ctx context.Context) int {
+	w := runtime.GOMAXPROCS(0)
+	if spare, _ := ctx.Value(spareCoreKey{}).(bool); spare && w > 1 {
+		w--
+	}
+	return w
+}
+
 func run(ctx context.Context, n int, fn func(i int), contain bool) ([]*resilience.StageFault, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	stage := pipeline.CurrentStage(ctx)
 	done := ctx.Done()
-	workers := runtime.GOMAXPROCS(0)
+	workers := Workers(ctx)
 	if workers > n {
 		workers = n
 	}

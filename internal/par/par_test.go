@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/pipeline"
 	"repro/internal/resilience"
@@ -299,5 +300,50 @@ func TestForOrderIndependentResultsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSpareCoreLeavesOneCore checks the served-refresh mark: loops under
+// WithSpareCore run at most GOMAXPROCS−1 workers at once, and at least
+// one, while unmarked loops may use every core.
+func TestSpareCoreLeavesOneCore(t *testing.T) {
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		want := procs - 1
+		if want < 1 {
+			want = 1
+		}
+		ctx := WithSpareCore(context.Background())
+		if got := Workers(ctx); got != want {
+			t.Errorf("GOMAXPROCS %d: Workers under the mark = %d, want %d", procs, got, want)
+		}
+		if got := Workers(context.Background()); got != procs {
+			t.Errorf("GOMAXPROCS %d: Workers without the mark = %d, want %d", procs, got, procs)
+		}
+		var active, peak int64
+		const n = 64
+		var done int64
+		if err := ForCtx(ctx, n, func(int) {
+			a := atomic.AddInt64(&active, 1)
+			for {
+				p := atomic.LoadInt64(&peak)
+				if a <= p || atomic.CompareAndSwapInt64(&peak, p, a) {
+					break
+				}
+			}
+			time.Sleep(200 * time.Microsecond) // let workers overlap
+			atomic.AddInt64(&active, -1)
+			atomic.AddInt64(&done, 1)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if done != n {
+			t.Fatalf("GOMAXPROCS %d: %d of %d items ran", procs, done, n)
+		}
+		if peak < 1 || peak > int64(want) {
+			t.Errorf("GOMAXPROCS %d: %d workers ran at once under the mark, want 1..%d", procs, peak, want)
+		}
 	}
 }

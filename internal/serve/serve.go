@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/par"
 	"repro/internal/suggest"
 )
 
@@ -161,11 +162,13 @@ func (t *Tenant) Snapshot() *Snapshot { return t.snap.Load() }
 // Refresh absorbs gs into the tenant's source (nil retries pending work),
 // builds the next snapshot off the request path, and swaps it in. On any
 // failure the last-good snapshot keeps serving and the error is returned;
-// concurrent readers are never exposed to partial state.
+// concurrent readers are never exposed to partial state. The source
+// refreshes under par.WithSpareCore, so its parallel phases leave one core
+// to the readers.
 func (t *Tenant) Refresh(ctx context.Context, gs []*graph.Graph) (*Snapshot, error) {
 	t.refreshMu.Lock()
 	defer t.refreshMu.Unlock()
-	if err := t.src.Refresh(ctx, gs); err != nil {
+	if err := t.src.Refresh(par.WithSpareCore(ctx), gs); err != nil {
 		if t.met != nil {
 			t.met.refreshes.With(t.id, "error").Inc()
 		}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/par"
 )
 
 // fakeSource is a Source over a static database, with replacement-style
@@ -444,5 +445,39 @@ func TestConcurrentReadsDuringRefreshAreConsistent(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// workerProbe is a fakeSource that records how many par workers its
+// Refresh context allows.
+type workerProbe struct {
+	*fakeSource
+	workers int
+}
+
+func (p *workerProbe) Refresh(ctx context.Context, gs []*graph.Graph) error {
+	p.workers = par.Workers(ctx)
+	return p.fakeSource.Refresh(ctx, gs)
+}
+
+// TestRefreshLeavesOneCoreToReaders checks that a served refresh hands
+// its source a context under the spare-core mark, so the source's
+// parallel phases leave one core to concurrent readers.
+func TestRefreshLeavesOneCoreToReaders(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	probe := &workerProbe{fakeSource: newFakeSource("probe")}
+	s := NewServer(Options{})
+	if _, err := s.AddTenant(DefaultTenant, probe); err != nil {
+		t.Fatal(err)
+	}
+	if rec := doReq(s, http.MethodPost, "/v1/tenants/default/refresh", "t # 0\nv 0 C\nv 1 N\ne 0 1\n"); rec.Code != http.StatusOK {
+		t.Fatalf("refresh status %d: %s", rec.Code, rec.Body.String())
+	}
+	if probe.workers != 3 {
+		t.Errorf("source refreshed with %d par workers at GOMAXPROCS 4, want 3", probe.workers)
+	}
+	if par.Workers(context.Background()) != 4 {
+		t.Error("the mark leaked outside the refresh")
 	}
 }
