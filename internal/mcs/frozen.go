@@ -290,6 +290,17 @@ func (s *Searcher) SimilarityMCCS(f1, f2 *graph.Frozen, budget int) float64 {
 	return float64(s.bestEdge) / float64(m)
 }
 
+// exhausted reports whether the last search stopped at its node budget.
+func (s *Searcher) exhausted() bool { return s.nodes >= s.budget }
+
+// countExhausted counts a search stopped by its node budget on ctx's
+// pipeline tracer (CounterMCSBudgetExhausted).
+func (s *Searcher) countExhausted(ctx context.Context) {
+	if s.exhausted() {
+		pipeline.From(ctx).Add(pipeline.CounterMCSBudgetExhausted, 1)
+	}
+}
+
 func (s *Searcher) result() Result {
 	var pairs []Pair
 	if len(s.best) > 0 {
@@ -298,16 +309,17 @@ func (s *Searcher) result() Result {
 			pairs[i] = Pair{graph.VertexID(p.v1), graph.VertexID(p.v2)}
 		}
 	}
-	return Result{Pairs: pairs, Edges: s.bestEdge, Exhausted: s.nodes >= s.budget}
+	return Result{Pairs: pairs, Edges: s.bestEdge, Exhausted: s.exhausted()}
 }
 
 // MCCSCtx returns a maximum connected common subgraph of g1 and g2 within
 // the given node budget (DefaultBudget if budget <= 0), with cooperative
-// cancellation: the backtracking search
-// polls ctx at node-expansion boundaries and returns ctx.Err() when
-// cancelled. Each call is counted on the context's pipeline tracer
-// (CounterMCSCalls). Both graphs are frozen on first use (memoized on the
-// graphs) and the search runs on the CSR form.
+// cancellation: the backtracking search polls ctx at node-expansion
+// boundaries and returns ctx.Err() when cancelled. Each call is counted on
+// the context's pipeline tracer (CounterMCSCalls), and a search stopped by
+// its node budget also as CounterMCSBudgetExhausted. Both graphs are
+// frozen on first use (memoized on the graphs) and the search runs on the
+// CSR form.
 func MCCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (Result, error) {
 	pipeline.From(ctx).Add(pipeline.CounterMCSCalls, 1)
 	if budget <= 0 {
@@ -320,6 +332,7 @@ func MCCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (Result, erro
 		searcherPool.Put(s)
 		return Result{}, err
 	}
+	s.countExhausted(ctx)
 	r := s.result()
 	searcherPool.Put(s)
 	return r, nil
@@ -355,7 +368,8 @@ func MCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (Result, error
 		if err := s.ctxErr; err != nil {
 			return Result{}, err
 		}
-		exhausted = exhausted || s.nodes >= s.budget
+		s.countExhausted(ctx)
+		exhausted = exhausted || s.exhausted()
 		if s.bestEdge == 0 {
 			break
 		}
@@ -384,6 +398,9 @@ func SimilarityMCCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (fl
 	s.prepare(g1.Freeze(), g2.Freeze(), nil, nil, budget)
 	s.run(ctx)
 	edges, err := s.bestEdge, s.ctxErr
+	if err == nil {
+		s.countExhausted(ctx)
+	}
 	searcherPool.Put(s)
 	if err != nil {
 		return 0, err

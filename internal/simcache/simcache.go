@@ -9,10 +9,11 @@
 //  1. Canonical evaluation: a similarity is computed not on the graphs the
 //     caller passed but on their canonical representatives — graphs decoded
 //     from the canon canonical strings (canon.Reconstruct), with argument
-//     order normalized by key. The budget-bounded MCCS search is exact only
-//     on most pairs; on the rest its result depends on vertex numbering, so
-//     evaluating raw graphs would make "the similarity of two isomorphism
-//     classes" ill-defined. Evaluating reconstructed representatives makes
+//     order normalized by key. The budget-bounded MCCS search seldom
+//     finishes (a quickstart mine stops every search at its node budget),
+//     so its result depends on vertex numbering, and evaluating raw graphs
+//     would make "the similarity of two isomorphism classes" ill-defined.
+//     Evaluating reconstructed representatives makes
 //     every similarity a pure function of the order-normalized canonical
 //     key pair — the determinism the memo and the parallel fan-out rely on,
 //     and an improvement over the raw path, where isomorphic inputs could
