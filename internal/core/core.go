@@ -80,8 +80,6 @@ type Options struct {
 	// iteration to the TopCSGs highest-weight CSGs. Bounds the per-
 	// iteration VF2 cost on large clusterings; 0 proposes from all CSGs.
 	TopCSGs int
-	// GEDBudget bounds each exact GED computation for diversity scoring.
-	GEDBudget int
 
 	// Ablation switches (not part of the paper's algorithm; used by the
 	// ablation benches to quantify each design choice's contribution).
