@@ -47,7 +47,9 @@ race:
 	$(GO) test -race ./...
 
 # diff-race runs the differential tests — engines and kernels against their
-# test-file oracles, outputs across worker counts — under -race and without
+# test-file oracles (among them bound-ordered against exhaustive scoring,
+# the walk index against map walks, and the array A* against the map A*),
+# outputs across worker counts — under -race and without
 # result caching, so cache-freshness never masks a divergence. Every suite
 # runs under GOMAXPROCS 1, 2 and 4, so a pass on one core cannot hide a
 # scheduling bug. Includes the large-network suites: decomposition must be
@@ -60,7 +62,7 @@ diff-race:
 		echo "GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'Differential|MatchesLegacy|MatchesNaive' \
 			./internal/core/ ./internal/cluster/ ./internal/bignet/ ./internal/suggest/ \
-			./internal/subiso/ ./internal/mcs/ ./internal/simcache/ . || exit 1; \
+			./internal/subiso/ ./internal/mcs/ ./internal/simcache/ ./internal/ged/ . || exit 1; \
 	done
 	$(GO) test -race -count=1 -run 'Golden' .
 
