@@ -1,10 +1,11 @@
 // The large-network bench gate behind `make bench-gate-bignet`: a ~1M-edge
 // R-MAT network is generated in the SNAP-style text format, streamed
 // through the edge-list loader into a frozen CSR, then decomposed and run
-// through pattern selection end to end. The gate writes BENCH_bignet.json
-// and fails when load throughput drops below 500k edges/sec or the full
-// decompose+select path exceeds its wall-clock budget, or when selection
-// returns no valid patterns. Opt-in via BENCH_GATE_BIGNET=1 so regular
+// through pattern selection end to end. The gate writes BENCH_bignet.json,
+// with the host's core count and GOMAXPROCS, and fails when load
+// throughput drops below 500k edges/sec or the full decompose+select path
+// exceeds its wall-clock budget, or when selection returns no valid
+// patterns. Opt-in via BENCH_GATE_BIGNET=1 so regular
 // `go test ./...` stays fast; BIGNET_BENCH_EDGES shrinks the network for
 // local iteration (thresholds bind only at full size).
 package catapult_test
@@ -15,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -101,6 +103,8 @@ func TestBignetBenchGate(t *testing.T) {
 		Patterns       int     `json:"patterns"`
 		GateMinEPS     float64 `json:"gate_min_edges_per_sec"`
 		GateMaxSelectS float64 `json:"gate_max_select_s"`
+		NumCPU         int     `json:"num_cpu"`
+		GOMAXPROCS     int     `json:"gomaxprocs"`
 	}{
 		Vertices:       f.NumVertices(),
 		EdgesRequested: edges,
@@ -115,6 +119,8 @@ func TestBignetBenchGate(t *testing.T) {
 		Patterns:       len(res.Patterns),
 		GateMinEPS:     bignetGateMinEdgesSec,
 		GateMaxSelectS: bignetGateMaxSelect.Seconds(),
+		NumCPU:         runtime.NumCPU(),
+		GOMAXPROCS:     runtime.GOMAXPROCS(0),
 	}
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
