@@ -87,12 +87,13 @@ chaos-store:
 	$(GO) test -race -count=1 -run 'Chaos' ./internal/store/
 	$(GO) test -race -count=1 -run 'TestMaintainerChaos' .
 
-# serve-race runs the pattern service and its replayed-user load harness
-# under the race detector without caching: lock-free snapshot reads,
-# coalesced searches, and concurrent refreshes must be race-clean and
-# produce zero torn reads.
+# serve-race runs the pattern service, its replayed-user load harness, the
+# pattern panel and guiserve's one mux under the race detector without
+# caching: lock-free snapshot reads (the panel's among them), coalesced
+# searches, and concurrent refreshes must be race-clean and produce zero
+# torn reads.
 serve-race:
-	$(GO) test -race -count=1 ./internal/serve/...
+	$(GO) test -race -count=1 ./internal/serve/... ./internal/webui/ ./cmd/guiserve/
 
 # bignet-race runs the large-network subsystem — streaming loaders, edge
 # partition, parallel region summarization — under the race detector

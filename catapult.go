@@ -118,13 +118,6 @@ type Config struct {
 	// sampling seed). Ignored by SelectCtx. The zero value uses the
 	// bignet defaults with Seed inherited from Config.Seed.
 	Network bignet.Options
-	// Suggest configures the online autocompletion engine (per-keystroke
-	// budget, default top-k, candidate cap) for consumers that wire a
-	// selection into a serving stack — cmd/guiserve passes it through to
-	// the pattern server's POST /v1/suggest endpoint. It does not affect
-	// SelectCtx itself; the zero value adopts the suggest package
-	// defaults (~100ms keystroke budget, top 5).
-	Suggest suggest.Options
 }
 
 func (c *Config) defaults() {

@@ -18,12 +18,10 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"net/http"
-	netpprof "net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -38,6 +36,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/resilience"
+	"repro/internal/webui"
 )
 
 func main() {
@@ -330,18 +329,7 @@ func runNetwork(ctx context.Context, path string, cfg catapult.Config) (*catapul
 func serveMetrics(addr string) (catapult.Observer, *metrics.Registry, func(context.Context) error) {
 	reg := metrics.NewRegistry()
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg.Handler())
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(struct {
-			Status string `json:"status"`
-		}{"ok"})
-	})
-	mux.HandleFunc("/debug/pprof/", netpprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
+	webui.Ops(mux, reg.Handler(), nil)
 	hs := &http.Server{Addr: addr, Handler: mux}
 	go func() {
 		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

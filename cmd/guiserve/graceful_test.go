@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	catapult "repro"
 	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/serve/loadtest"
@@ -23,7 +24,7 @@ func TestGracefulDrainZeroFailures(t *testing.T) {
 	db := dataset.AIDSLike(20, 3)
 	stateDir := t.TempDir()
 	reg := metrics.NewRegistry()
-	srv, m, recovery, err := buildMaintainerServerState(context.Background(), db, testConfig(), reg, stateDir)
+	srv, m, recovery, err := buildMaintainerServerState(context.Background(), db, testConfig(), catapult.SuggestOptions{}, reg, stateDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestGracefulDrainZeroFailures(t *testing.T) {
 
 	// The flushed state warm-starts a successor serving the same patterns.
 	reg2 := metrics.NewRegistry()
-	_, m2, recovery2, err := buildMaintainerServerState(context.Background(), db, testConfig(), reg2, stateDir)
+	_, m2, recovery2, err := buildMaintainerServerState(context.Background(), db, testConfig(), catapult.SuggestOptions{}, reg2, stateDir)
 	if err != nil {
 		t.Fatal(err)
 	}

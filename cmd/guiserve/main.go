@@ -1,36 +1,35 @@
 // Command guiserve mines canned patterns from a database (or generates a
-// synthetic one) and serves them as a visual pattern panel over HTTP —
-// SVG cards with score breakdowns, plus JSON and DOT endpoints — together
-// with the operational surface of a long-lived pattern service:
+// synthetic one) into a transactional Maintainer and serves them over one
+// HTTP mux: the visual pattern panel, the concurrent multi-tenant v1 API
+// in front of the Maintainer, and the operational surface of a long-lived
+// pattern service. The panel renders the current snapshot on every
+// request, so it follows refreshes posted to the API.
 //
-//	/metrics        OpenMetrics exposition (per-stage latency histograms,
-//	                pipeline counters, cache hit-ratio gauges, maintainer
-//	                gauges)
-//	/healthz        liveness + selection summary as JSON
-//	/debug/pprof/*  Go profiling; CPU samples carry stage labels, so
-//	                `go tool pprof -tagfocus stage=fine` isolates a stage
-//
-// With -serve the panel is backed by a transactional Maintainer fronted by
-// the concurrent pattern service, which adds the multi-tenant v1 API:
-//
+//	GET  /                         pattern panel: SVG cards with score
+//	                               breakdowns
+//	GET  /pattern/<i>.svg|.dot     one pattern drawn as SVG or DOT
 //	GET  /v1/patterns              pattern panel from the current snapshot
 //	POST /v1/search                exact containment search (query in body)
 //	POST /v1/suggest               per-keystroke autocompletion: rank the
-//	                               panel as completions of a partial query
+//	                               panel as completions of a partial query,
+//	                               budgeted per keystroke (-suggest-budget)
 //	GET  /v1/coverage              per-pattern coverage of the snapshot
 //	POST /v1/tenants/{id}/refresh  absorb a graph batch, swap snapshots
 //	GET  /v1/tenants               registered tenants + snapshot stats
-//
-// Autocompletion also rides on the panel itself as POST /api/suggest in
-// both modes, budgeted per keystroke (-suggest-budget) so a suggestion
-// answer arrives while the user is still typing — degraded to a ranked
-// prefix rather than late.
+//	/metrics                       OpenMetrics exposition (per-stage
+//	                               latency histograms, pipeline counters,
+//	                               cache hit-ratio gauges, maintainer and
+//	                               serving families)
+//	/healthz                       liveness + current snapshot stats as JSON
+//	/debug/pprof/*                 Go profiling; CPU samples carry stage
+//	                               labels, so `go tool pprof -tagfocus
+//	                               stage=fine` isolates a stage
 //
 // Usage:
 //
 //	guiserve -in db.txt -gamma 12 -addr :8080
 //	guiserve -demo -addr :8080        # synthetic 150-graph demo dataset
-//	guiserve -demo -serve             # panel + concurrent /v1 pattern API
+//	guiserve -demo -state-dir state   # warm-start and persist every refresh
 package main
 
 import (
@@ -47,7 +46,6 @@ import (
 
 	catapult "repro"
 	"repro/internal/dataset"
-	"repro/internal/gindex"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/webui"
@@ -62,16 +60,11 @@ func main() {
 		etaMax   = flag.Int("max", 8, "maximum pattern size")
 		gamma    = flag.Int("gamma", 12, "number of patterns")
 		seed     = flag.Int64("seed", 42, "random seed")
-		serveAPI = flag.Bool("serve", false, "back the panel with a maintainer and mount the concurrent /v1 pattern API")
 		suggestB = flag.Duration("suggest-budget", 0, "per-keystroke autocompletion budget (0 = ~100ms default, negative = unbudgeted)")
-		stateDir = flag.String("state-dir", "", "durable state directory (requires -serve): warm-start from the newest verifiable snapshot, persist every refresh, flush a final snapshot on shutdown")
+		stateDir = flag.String("state-dir", "", "durable state directory: warm-start from the newest verifiable snapshot, persist every refresh, flush a final snapshot on shutdown")
 		drain    = flag.Duration("drain", 5*time.Second, "graceful-shutdown deadline for draining in-flight requests on SIGINT/SIGTERM")
 	)
 	flag.Parse()
-	if *stateDir != "" && !*serveAPI {
-		fmt.Fprintln(os.Stderr, "guiserve: -state-dir requires -serve (durable state belongs to the maintainer)")
-		os.Exit(2)
-	}
 
 	var db *graph.DB
 	switch {
@@ -99,40 +92,25 @@ func main() {
 		Budget:     catapult.Budget{EtaMin: *etaMin, EtaMax: *etaMax, Gamma: *gamma},
 		Clustering: catapult.ClusterConfig{Strategy: catapult.HybridMCCS, N: 20, MinSupport: 0.1},
 		Seed:       *seed,
-		Suggest:    catapult.SuggestOptions{Budget: *suggestB},
 	}
-	var srv *webui.Server
+	srv, m, _, err := buildMaintainerServerState(context.Background(), db, cfg,
+		catapult.SuggestOptions{Budget: *suggestB}, reg, *stateDir)
+	if err != nil {
+		fatal(err)
+	}
 	var flush func(context.Context) error
-	if *serveAPI {
-		var m *catapult.Maintainer
-		var err error
-		srv, m, _, err = buildMaintainerServerState(context.Background(), db, cfg, reg, *stateDir)
-		if err != nil {
-			fatal(err)
-		}
-		if *stateDir != "" {
-			flush = func(ctx context.Context) error {
-				gen, err := m.PersistNow(ctx)
-				if err == nil {
-					fmt.Fprintf(os.Stderr, "guiserve: final snapshot flushed (generation %d)\n", gen)
-				}
-				return err
+	if *stateDir != "" {
+		flush = func(ctx context.Context) error {
+			gen, err := m.PersistNow(ctx)
+			if err == nil {
+				fmt.Fprintf(os.Stderr, "guiserve: final snapshot flushed (generation %d)\n", gen)
 			}
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "selected %d patterns (maintainer-backed)\n", len(m.Patterns()))
-		fmt.Fprintf(os.Stderr, "serving pattern panel + /v1 pattern API on http://localhost%s/ (GET /v1/patterns, POST /v1/search, POST /v1/suggest, POST /v1/tenants/%s/refresh; /metrics, /healthz, /debug/pprof/)\n",
-			*addr, catapult.ServeDefaultTenant)
-	} else {
-		var res *catapult.Result
-		var err error
-		srv, res, err = buildServer(context.Background(), db, cfg, reg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "selected %d patterns (clustering %v, selection %v)\n",
-			len(res.Patterns), res.ClusteringTime, res.PatternTime)
-		fmt.Fprintf(os.Stderr, "serving pattern panel on http://localhost%s/ (POST /api/search for retrieval, POST /api/suggest for autocompletion; /metrics, /healthz, /debug/pprof/)\n", *addr)
 	}
+	fmt.Fprintf(os.Stderr, "selected %d patterns\n", len(m.Patterns()))
+	fmt.Fprintf(os.Stderr, "serving pattern panel + /v1 pattern API on http://localhost%s/ (GET /v1/patterns, POST /v1/search, POST /v1/suggest, POST /v1/tenants/%s/refresh; /metrics, /healthz, /debug/pprof/)\n",
+		*addr, catapult.ServeDefaultTenant)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -148,7 +126,7 @@ func main() {
 // gracefulServe serves h on ln until a signal arrives on stop, then shuts
 // down gracefully: the listener closes (no new connections), in-flight
 // requests get up to drain to complete, and flush — the final snapshot
-// write in -serve -state-dir mode — runs afterwards so the durable state
+// write under -state-dir — runs afterwards so the durable state
 // reflects everything the drained requests observed. Split from main so
 // the drain test can run the full lifecycle against a live loadtest
 // fleet.
@@ -180,44 +158,20 @@ func gracefulServe(ln net.Listener, h http.Handler, stop <-chan os.Signal, drain
 	return err
 }
 
-// buildServer runs the pipeline on db with its stage spans and counters
-// streamed into reg, and assembles the full handler set: pattern panel,
-// subgraph search, metrics exposition, health and pprof. Split from main so
-// the handler test can scrape a real selection.
-func buildServer(ctx context.Context, db *graph.DB, cfg catapult.Config, reg *metrics.Registry) (*webui.Server, *catapult.Result, error) {
-	cfg.Observer = metrics.NewTrace(reg)
-	res, err := catapult.SelectCtx(ctx, db, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	srv := webui.NewServer(db.Name, res.Patterns)
-	srv.EnableSearch(gindex.Build(db, gindex.Options{}))
-	srv.EnableSuggest(catapult.NewSuggester(res.Patterns), cfg.Suggest)
-	srv.EnableObservability(reg.Handler(), func() any {
-		return healthPayload(db.Name, res)
-	})
-	return srv, res, nil
-}
-
-// buildMaintainerServer assembles the -serve handler set: a transactional
-// Maintainer runs the pipeline once, the concurrent pattern service fronts
-// it under /v1/ with atomically swapped snapshots, and the SVG panel,
-// legacy search, metrics, health and pprof surfaces ride alongside on the
-// same mux. Split from main so the handler test can drive a real refresh.
-func buildMaintainerServer(ctx context.Context, db *graph.DB, cfg catapult.Config, reg *metrics.Registry) (*webui.Server, *catapult.Maintainer, error) {
-	srv, m, _, err := buildMaintainerServerState(ctx, db, cfg, reg, "")
-	return srv, m, err
-}
-
-// buildMaintainerServerState is buildMaintainerServer with durable state:
-// when stateDir is non-empty it recovers the newest verifiable snapshot
-// there and warm-starts the maintainer from it — the -in/-demo database is
-// then superseded by the recovered one — falling back to a cold mine when
-// no snapshot verifies. Persistence is enabled either way, so every
+// buildMaintainerServerState assembles the one handler set: a
+// transactional Maintainer runs the pipeline once with its stage spans and
+// counters streamed into reg, the concurrent pattern service fronts it
+// under /v1/ with atomically swapped snapshots, the pattern panel at /
+// renders the default tenant's current snapshot, and the metrics, health
+// and pprof endpoints ride alongside on the same mux. When stateDir is
+// non-empty it recovers the newest verifiable snapshot there and
+// warm-starts the maintainer from it — the -in/-demo database is then
+// superseded by the recovered one — falling back to a cold mine when no
+// snapshot verifies. Persistence is then enabled either way, so every
 // refresh writes the next generation, and the recovery outcome lands on
 // /healthz and the catapult_store_* metrics before the server takes
-// traffic.
-func buildMaintainerServerState(ctx context.Context, db *graph.DB, cfg catapult.Config, reg *metrics.Registry, stateDir string) (*webui.Server, *catapult.Maintainer, *catapult.StoreRecovery, error) {
+// traffic. Split from main so the handler tests can drive real refreshes.
+func buildMaintainerServerState(ctx context.Context, db *graph.DB, cfg catapult.Config, sugg catapult.SuggestOptions, reg *metrics.Registry, stateDir string) (http.Handler, *catapult.Maintainer, *catapult.StoreRecovery, error) {
 	cfg.Observer = metrics.NewTrace(reg)
 	var m *catapult.Maintainer
 	var recovery *catapult.StoreRecovery
@@ -249,42 +203,22 @@ func buildMaintainerServerState(ctx context.Context, db *graph.DB, cfg catapult.
 		}
 		catapult.ObserveRecovery(reg, recovery)
 	}
-	api := catapult.NewPatternServer(catapult.PatternServerOptions{Metrics: reg, Suggest: cfg.Suggest})
-	if _, err := api.AddTenant(catapult.ServeDefaultTenant, m.ServeSource()); err != nil {
+	api := catapult.NewPatternServer(catapult.PatternServerOptions{Metrics: reg, Suggest: sugg})
+	tenant, err := api.AddTenant(catapult.ServeDefaultTenant, m.ServeSource())
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	srv := webui.NewServer(m.DB().Name, m.Patterns())
-	srv.EnableSearch(gindex.Build(m.DB(), gindex.Options{}))
-	srv.EnableSuggest(catapult.NewSuggester(m.Patterns()), cfg.Suggest)
-	srv.EnableAPI(api)
-	srv.EnableObservability(reg.Handler(), func() any {
-		return maintainerHealth(api, recovery)
+	mux := http.NewServeMux()
+	mux.Handle("/", webui.Panel(tenant))
+	mux.Handle("/v1/", api)
+	webui.Ops(mux, reg.Handler(), func() any {
+		return struct {
+			Status   string                  `json:"status"`
+			Serve    catapult.ServeStats     `json:"serve"`
+			Recovery *catapult.StoreRecovery `json:"recovery,omitempty"`
+		}{"ok", tenant.Snapshot().Stats(), recovery}
 	})
-	return srv, m, recovery, nil
-}
-
-// maintainerHealth is the /healthz body in -serve mode: the default
-// tenant's current snapshot stats, read lock-free, plus the snapshot
-// recovery report when the server started from a -state-dir.
-func maintainerHealth(api *catapult.PatternServer, recovery *catapult.StoreRecovery) any {
-	stats := api.Tenant(catapult.ServeDefaultTenant).Snapshot().Stats()
-	payload := struct {
-		Status   string                  `json:"status"`
-		Serve    catapult.ServeStats     `json:"serve"`
-		Recovery *catapult.StoreRecovery `json:"recovery,omitempty"`
-	}{"ok", stats, recovery}
-	return payload
-}
-
-// healthPayload is the /healthz response body.
-func healthPayload(dataset string, res *catapult.Result) any {
-	return struct {
-		Status   string `json:"status"`
-		Dataset  string `json:"dataset"`
-		Patterns int    `json:"patterns"`
-		Clusters int    `json:"clusters"`
-		Degraded bool   `json:"degraded"`
-	}{"ok", dataset, len(res.Patterns), len(res.Clusters), res.Degraded()}
+	return mux, m, recovery, nil
 }
 
 func fatal(err error) {

@@ -1,19 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	catapult "repro"
 	"repro/internal/dataset"
+	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/webui"
 )
 
 func testConfig() catapult.Config {
@@ -24,12 +27,46 @@ func testConfig() catapult.Config {
 	}
 }
 
+// build assembles the one handler set over db with no durable state.
+func build(t *testing.T, db *graph.DB, reg *metrics.Registry) (http.Handler, *catapult.Maintainer) {
+	t.Helper()
+	srv, m, _, err := buildMaintainerServerState(context.Background(), db, testConfig(),
+		catapult.SuggestOptions{}, reg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, m
+}
+
+func do(srv http.Handler, method, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+	return rec
+}
+
+// refresh POSTs a batch of generated graphs to the default tenant.
+func refresh(t *testing.T, srv http.Handler, batch *graph.DB) catapult.ServeRefreshResponse {
+	t.Helper()
+	var text strings.Builder
+	if err := catapult.WriteDB(&text, batch); err != nil {
+		t.Fatal(err)
+	}
+	rec := do(srv, "POST", "/v1/tenants/"+catapult.ServeDefaultTenant+"/refresh", text.String())
+	if rec.Code != 200 {
+		t.Fatalf("refresh status = %d: %s", rec.Code, rec.Body.String())
+	}
+	var ref catapult.ServeRefreshResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &ref); err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
 // scrape GETs /metrics from the server and parses the OpenMetrics text
 // into series-name → value.
-func scrape(t *testing.T, srv *webui.Server) map[string]float64 {
+func scrape(t *testing.T, srv http.Handler) map[string]float64 {
 	t.Helper()
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	rec := do(srv, "GET", "/metrics", "")
 	if rec.Code != 200 {
 		t.Fatalf("/metrics status = %d", rec.Code)
 	}
@@ -91,17 +128,11 @@ func TestMetricsEndpointMonotoneAcrossRuns(t *testing.T) {
 	db := dataset.AIDSLike(40, 1)
 	reg := metrics.NewRegistry()
 
-	srv, _, err := buildServer(context.Background(), db, testConfig(), reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, _ := build(t, db, reg)
 	first := scrape(t, srv)
 
 	// Second run, same registry: families aggregate.
-	srv2, _, err := buildServer(context.Background(), db, testConfig(), reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv2, _ := build(t, db, reg)
 	second := scrape(t, srv2)
 
 	// Per-stage duration histograms: every phase of the run must have
@@ -173,24 +204,13 @@ func TestMetricsEndpointMonotoneAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestMaintainerMetricsExposed wires a Maintainer to the same registry and
-// checks its operational gauges appear on the scrape.
+// TestMaintainerMetricsExposed refreshes through the API and checks the
+// maintainer's operational gauges appear on the scrape.
 func TestMaintainerMetricsExposed(t *testing.T) {
-	db := dataset.AIDSLike(30, 2)
 	reg := metrics.NewRegistry()
-	cfg := testConfig()
-	cfg.Observer = metrics.NewTrace(reg)
-	mt, err := catapult.NewMaintainerCtx(context.Background(), db, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt.EnableMetrics(reg)
-	if _, err := mt.AddGraphsCtx(context.Background(), dataset.AIDSLike(3, 9).Graphs); err != nil {
-		t.Fatal(err)
-	}
+	srv, m := build(t, dataset.AIDSLike(30, 2), reg)
+	refresh(t, srv, dataset.AIDSLike(3, 9))
 
-	srv := webui.NewServer(db.Name, mt.Patterns())
-	srv.EnableObservability(reg.Handler(), nil)
 	got := scrape(t, srv)
 	if v := got["catapult_maintainer_refreshes_total"]; v != 1 {
 		t.Errorf("maintainer refreshes = %v, want 1", v)
@@ -204,32 +224,25 @@ func TestMaintainerMetricsExposed(t *testing.T) {
 	if _, ok := got["catapult_maintainer_last_refresh_seconds"]; !ok {
 		t.Error("maintainer last-refresh gauge missing")
 	}
-	if v := got["catapult_maintainer_patterns"]; v != float64(len(mt.Patterns())) {
-		t.Errorf("maintainer patterns gauge = %v, want %d", v, len(mt.Patterns()))
+	if v := got["catapult_maintainer_patterns"]; v != float64(len(m.Patterns())) {
+		t.Errorf("maintainer patterns gauge = %v, want %d", v, len(m.Patterns()))
 	}
 }
 
-// TestServeModeMountsV1API assembles the -serve handler set and drives the
-// v1 surface through the shared mux: the pattern panel and the API answer
-// side by side, a refresh through POST /v1/tenants/{id}/refresh swaps the
-// snapshot, /healthz reports the snapshot stats, and the scrape carries
-// both the pipeline and the catapult_serve_* families.
+// TestServeModeMountsV1API drives the shared mux: the pattern panel and
+// the v1 API answer side by side, a refresh through
+// POST /v1/tenants/{id}/refresh swaps the snapshot, /healthz reports the
+// snapshot stats, and the scrape carries both the pipeline and the
+// catapult_serve_* families.
 func TestServeModeMountsV1API(t *testing.T) {
-	db := dataset.AIDSLike(30, 3)
 	reg := metrics.NewRegistry()
-	srv, m, err := buildMaintainerServer(context.Background(), db, testConfig(), reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, m := build(t, dataset.AIDSLike(30, 3), reg)
 
 	// Panel and API on one mux.
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	if rec.Code != 200 {
+	if rec := do(srv, "GET", "/", ""); rec.Code != 200 {
 		t.Fatalf("panel status = %d", rec.Code)
 	}
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/patterns", nil))
+	rec := do(srv, "GET", "/v1/patterns", "")
 	if rec.Code != 200 {
 		t.Fatalf("/v1/patterns status = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -243,21 +256,7 @@ func TestServeModeMountsV1API(t *testing.T) {
 	}
 
 	// A refresh batch through the API swaps the snapshot in place.
-	var batch strings.Builder
-	if err := catapult.WriteDB(&batch, dataset.AIDSLike(3, 11)); err != nil {
-		t.Fatal(err)
-	}
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST",
-		"/v1/tenants/"+catapult.ServeDefaultTenant+"/refresh", strings.NewReader(batch.String())))
-	if rec.Code != 200 {
-		t.Fatalf("refresh status = %d: %s", rec.Code, rec.Body.String())
-	}
-	var ref catapult.ServeRefreshResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &ref); err != nil {
-		t.Fatal(err)
-	}
-	if ref.Stats.Version != 2 || ref.Stats.Graphs != 33 {
+	if ref := refresh(t, srv, dataset.AIDSLike(3, 11)); ref.Stats.Version != 2 || ref.Stats.Graphs != 33 {
 		t.Errorf("refresh landed as %+v, want version 2 over 33 graphs", ref.Stats)
 	}
 	if m.DB().Len() != 33 {
@@ -265,13 +264,11 @@ func TestServeModeMountsV1API(t *testing.T) {
 	}
 
 	// /healthz reflects the swapped snapshot.
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	var h struct {
 		Status string              `json:"status"`
 		Serve  catapult.ServeStats `json:"serve"`
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+	if err := json.Unmarshal(do(srv, "GET", "/healthz", "").Body.Bytes(), &h); err != nil {
 		t.Fatalf("/healthz not JSON: %v", err)
 	}
 	if h.Status != "ok" || h.Serve.Version != 2 || h.Serve.Graphs != 33 {
@@ -280,9 +277,7 @@ func TestServeModeMountsV1API(t *testing.T) {
 
 	// Autocompletion through the shared mux: a pattern's own text is a
 	// partial that the pattern itself completes exactly.
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/suggest?k=3",
-		strings.NewReader(panel.Patterns[0].Text)))
+	rec = do(srv, "POST", "/v1/suggest?k=3", panel.Patterns[0].Text)
 	if rec.Code != 200 {
 		t.Fatalf("/v1/suggest status = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -320,32 +315,120 @@ func TestServeModeMountsV1API(t *testing.T) {
 // TestHealthzAndPprofMounted exercises the other two operational
 // endpoints.
 func TestHealthzAndPprofMounted(t *testing.T) {
-	db := dataset.AIDSLike(30, 1)
-	reg := metrics.NewRegistry()
-	srv, res, err := buildServer(context.Background(), db, testConfig(), reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, m := build(t, dataset.AIDSLike(30, 1), metrics.NewRegistry())
 
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	rec := do(srv, "GET", "/healthz", "")
 	if rec.Code != 200 {
 		t.Fatalf("/healthz status = %d", rec.Code)
 	}
 	var h struct {
-		Status   string `json:"status"`
-		Patterns int    `json:"patterns"`
+		Status string              `json:"status"`
+		Serve  catapult.ServeStats `json:"serve"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatalf("/healthz not JSON: %v", err)
 	}
-	if h.Status != "ok" || h.Patterns != len(res.Patterns) {
-		t.Errorf("/healthz = %+v, want ok with %d patterns", h, len(res.Patterns))
+	if h.Status != "ok" || h.Serve.Version != 1 || h.Serve.Patterns != len(m.Patterns()) {
+		t.Errorf("/healthz = %+v, want ok at version 1 with %d patterns", h, len(m.Patterns()))
 	}
 
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
+	rec = do(srv, "GET", "/debug/pprof/", "")
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "goroutine") {
 		t.Errorf("/debug/pprof/ status = %d, body does not look like the pprof index", rec.Code)
+	}
+}
+
+// TestEverySurfaceFollowsRefreshes reads the panel, a pattern card and
+// /v1/patterns from concurrent readers while two refresh batches land
+// through the API. Every 200 names its snapshot in X-Snapshot-Version, no
+// reader sees the version go down, the panel page renders the snapshot its
+// header names, and once the refreshes are in every surface serves the
+// final snapshot: each /pattern/<i>.dot is the DOT of pattern i of
+// /v1/patterns.
+func TestEverySurfaceFollowsRefreshes(t *testing.T) {
+	srv, _ := build(t, dataset.AIDSLike(30, 5), metrics.NewRegistry())
+
+	// version reads the header of a 200 and checks it against the body.
+	version := func(path string, rec *httptest.ResponseRecorder) (uint64, error) {
+		if rec.Code != 200 {
+			return 0, fmt.Errorf("GET %s: status %d", path, rec.Code)
+		}
+		hdr := rec.Header().Get("X-Snapshot-Version")
+		v, err := strconv.ParseUint(hdr, 10, 64)
+		if err != nil {
+			return 0, fmt.Errorf("GET %s: X-Snapshot-Version %q", path, hdr)
+		}
+		switch path {
+		case "/":
+			if !strings.Contains(rec.Body.String(), "snapshot version "+hdr+")") {
+				return 0, fmt.Errorf("GET /: page does not render version %s", hdr)
+			}
+		case "/v1/patterns":
+			var pr catapult.ServePatternsResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil || pr.Stats.Version != v {
+				return 0, fmt.Errorf("GET /v1/patterns: header %s, body version %d (%v)", hdr, pr.Stats.Version, err)
+			}
+		}
+		return v, nil
+	}
+
+	surfaces := []string{"/", "/pattern/0.svg", "/v1/patterns"}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, path := range surfaces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last uint64
+			for {
+				v, err := version(path, do(srv, "GET", path, ""))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if v < last {
+					t.Errorf("GET %s: version went from %d to %d", path, last, v)
+					return
+				}
+				last = v
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	refresh(t, srv, dataset.AIDSLike(3, 21))
+	final := refresh(t, srv, dataset.AIDSLike(3, 22)).Stats.Version
+	close(done)
+	wg.Wait()
+	if final != 3 {
+		t.Fatalf("final version %d, want 3", final)
+	}
+
+	for _, path := range surfaces {
+		if v, err := version(path, do(srv, "GET", path, "")); err != nil || v != final {
+			t.Errorf("GET %s after the refreshes: version %d (%v), want %d", path, v, err, final)
+		}
+	}
+	var panel catapult.ServePatternsResponse
+	if err := json.Unmarshal(do(srv, "GET", "/v1/patterns", "").Body.Bytes(), &panel); err != nil {
+		t.Fatal(err)
+	}
+	for i, pv := range panel.Patterns {
+		p, err := catapult.ReadDB(strings.NewReader(pv.Text), "p")
+		if err != nil || p.Len() != 1 {
+			t.Fatalf("pattern %d text does not parse: %v", i, err)
+		}
+		var want bytes.Buffer
+		if err := graph.WriteDOT(&want, p.Graph(0), fmt.Sprintf("pattern%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		rec := do(srv, "GET", fmt.Sprintf("/pattern/%d.dot", i), "")
+		if rec.Header().Get("X-Snapshot-Version") != strconv.FormatUint(final, 10) || rec.Body.String() != want.String() {
+			t.Errorf("/pattern/%d.dot at version %q differs from pattern %d of /v1/patterns:\n%s\nwant\n%s",
+				i, rec.Header().Get("X-Snapshot-Version"), i, rec.Body.String(), want.String())
+		}
 	}
 }

@@ -97,6 +97,13 @@ func (s *Server) tenantOf(w http.ResponseWriter, r *http.Request) *Tenant {
 	return t
 }
 
+// setVersion names the snapshot a response answers from. Every handler
+// that answers from one snapshot sets it, so a client can check the header
+// against the body's stats.version.
+func setVersion(w http.ResponseWriter, snap *Snapshot) {
+	w.Header().Set("X-Snapshot-Version", strconv.FormatUint(snap.Version(), 10))
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
@@ -113,7 +120,7 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	body := snap.PatternsJSON()
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Header().Set("X-Snapshot-Version", strconv.FormatUint(snap.Version(), 10))
+	setVersion(w, snap)
 	_, _ = w.Write(body)
 }
 
@@ -161,6 +168,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hits := v.([]int)
+	setVersion(w, snap)
 	writeJSON(w, SearchResponse{Stats: snap.Stats(), Matches: len(hits), Graphs: hits})
 }
 
@@ -235,7 +243,7 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	for i, sg := range res.Suggestions {
 		views[i] = SuggestionView{Suggestion: sg, Text: snap.PatternText(sg.Pattern)}
 	}
-	w.Header().Set("X-Snapshot-Version", strconv.FormatUint(snap.Version(), 10))
+	setVersion(w, snap)
 	writeJSON(w, SuggestResponse{Stats: snap.Stats(), Suggest: res.Stats, Suggestions: views})
 }
 
@@ -260,7 +268,7 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Snapshot-Version", strconv.FormatUint(snap.Version(), 10))
+	setVersion(w, snap)
 	_, _ = w.Write(body)
 }
 
@@ -289,6 +297,7 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 			http.StatusInternalServerError)
 		return
 	}
+	setVersion(w, snap)
 	writeJSON(w, RefreshResponse{Stats: snap.Stats(), Added: len(gs)})
 }
 

@@ -4,11 +4,12 @@
 // version of the user model's comprehension times, and verifies every
 // response's internal consistency while it runs: a pattern panel whose
 // length disagrees with its own embedded stats, a search hit outside the
-// snapshot's graph range, or a snapshot version that moves backwards is a
-// torn read — the exact failure the serving layer's atomic snapshot
-// discipline exists to rule out. The harness is the measurement half of
-// the serving bench gate (RPS and latency percentiles) and the assertion
-// half of the -race serving suite.
+// snapshot's graph range, or an X-Snapshot-Version header that is missing
+// or names another version than the body is a torn read, and a snapshot
+// version that moves backwards is a regression — the exact failures the
+// serving layer's atomic snapshot discipline exists to rule out. The
+// harness is the measurement half of the serving bench gate (RPS and
+// latency percentiles) and the assertion half of the -race serving suite.
 package loadtest
 
 import (
@@ -21,6 +22,7 @@ import (
 	"math/rand"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -230,6 +232,8 @@ type userLoop struct {
 	panelTexts   []string
 	panelVersion uint64
 	lastPanel    []byte // last verified panel body, byte-for-byte
+	// lastPanelVersion is the stats.version embedded in lastPanel.
+	lastPanelVersion uint64
 }
 
 func (u *userLoop) run(ctx context.Context) {
@@ -284,13 +288,14 @@ func (u *userLoop) observeVersion(v uint64) {
 	}
 }
 
-// do issues one request, records its latency, and returns the body for 200s
-// (nil otherwise, with error/shed accounting done).
-func (u *userLoop) do(ctx context.Context, method, path string, body io.Reader) []byte {
+// do issues one request, records its latency, and returns the body and
+// the X-Snapshot-Version header for 200s (nil otherwise, with error/shed
+// accounting done).
+func (u *userLoop) do(ctx context.Context, method, path string, body io.Reader) ([]byte, string) {
 	req, err := http.NewRequestWithContext(ctx, method, u.opts.BaseURL+path, body)
 	if err != nil {
 		u.fail(err)
-		return nil
+		return nil, ""
 	}
 	start := time.Now()
 	resp, err := u.client.Do(req)
@@ -299,7 +304,7 @@ func (u *userLoop) do(ctx context.Context, method, path string, body io.Reader) 
 		if ctx.Err() == nil {
 			u.fail(err)
 		}
-		return nil
+		return nil, ""
 	}
 	defer resp.Body.Close()
 	payload, err := io.ReadAll(resp.Body)
@@ -308,20 +313,26 @@ func (u *userLoop) do(ctx context.Context, method, path string, body io.Reader) 
 		if ctx.Err() == nil {
 			u.fail(err)
 		}
-		return nil
+		return nil, ""
 	}
 	u.stats.requests++
 	u.stats.latencies = append(u.stats.latencies, elapsed)
 	switch resp.StatusCode {
 	case http.StatusOK:
-		return payload
+		return payload, resp.Header.Get("X-Snapshot-Version")
 	case http.StatusTooManyRequests:
 		u.stats.shed++
-		return nil
+		return nil, ""
 	default:
 		u.fail(fmt.Errorf("%s %s: status %d: %s", method, path, resp.StatusCode, payload))
-		return nil
+		return nil, ""
 	}
+}
+
+// versionMatches reports whether a 200's X-Snapshot-Version header names
+// the version its body embeds.
+func versionMatches(header string, body uint64) bool {
+	return header == strconv.FormatUint(body, 10)
 }
 
 func (u *userLoop) fail(err error) {
@@ -332,7 +343,7 @@ func (u *userLoop) fail(err error) {
 }
 
 func (u *userLoop) fetchPatterns(ctx context.Context) {
-	body := u.do(ctx, http.MethodGet, "/v1/patterns?tenant="+u.opts.Tenant, nil)
+	body, version := u.do(ctx, http.MethodGet, "/v1/patterns?tenant="+u.opts.Tenant, nil)
 	if body == nil {
 		return
 	}
@@ -341,6 +352,9 @@ func (u *userLoop) fetchPatterns(ctx context.Context) {
 	// consistent — skip the decode (the dominant client-side cost under
 	// high fleet counts, where it would distort the latency measurement).
 	if bytes.Equal(body, u.lastPanel) {
+		if !versionMatches(version, u.lastPanelVersion) {
+			u.stats.tornReads++
+		}
 		return
 	}
 	var pr serve.PatternsResponse
@@ -350,7 +364,7 @@ func (u *userLoop) fetchPatterns(ctx context.Context) {
 	}
 	// The internal-consistency invariants: the payload must agree with its
 	// own embedded stats, and versions never move backwards.
-	if len(pr.Patterns) != pr.Stats.Patterns {
+	if len(pr.Patterns) != pr.Stats.Patterns || !versionMatches(version, pr.Stats.Version) {
 		u.stats.tornReads++
 		return
 	}
@@ -359,7 +373,7 @@ func (u *userLoop) fetchPatterns(ctx context.Context) {
 		return
 	}
 	u.observeVersion(pr.Stats.Version)
-	u.lastPanel = body
+	u.lastPanel, u.lastPanelVersion = body, pr.Stats.Version
 
 	// Adopt the fresh panel (parse once; texts double as search queries).
 	if len(pr.Patterns) > 0 && (len(u.panelTexts) == 0 || pr.Stats.Version > u.panelVersion) {
@@ -380,7 +394,7 @@ func (u *userLoop) fetchPatterns(ctx context.Context) {
 
 func (u *userLoop) search(ctx context.Context) {
 	i := u.rng.Intn(len(u.panelTexts))
-	body := u.do(ctx, http.MethodPost, "/v1/search?tenant="+u.opts.Tenant,
+	body, version := u.do(ctx, http.MethodPost, "/v1/search?tenant="+u.opts.Tenant,
 		strings.NewReader(u.panelTexts[i]))
 	if body == nil {
 		return
@@ -390,7 +404,7 @@ func (u *userLoop) search(ctx context.Context) {
 		u.stats.tornReads++
 		return
 	}
-	if sr.Matches != len(sr.Graphs) {
+	if sr.Matches != len(sr.Graphs) || !versionMatches(version, sr.Stats.Version) {
 		u.stats.tornReads++
 		return
 	}

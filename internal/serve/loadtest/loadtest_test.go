@@ -291,6 +291,56 @@ func TestLoadShedAccounting(t *testing.T) {
 	}
 }
 
+// TestLoadCountsVersionHeaderMismatchAsTorn: a 200 whose
+// X-Snapshot-Version header is missing, or names another version than its
+// body's stats.version, is a torn read. A proxy in front of a real server
+// rewrites the header on one endpoint.
+func TestLoadCountsVersionHeaderMismatchAsTorn(t *testing.T) {
+	for _, tc := range []struct {
+		name, path string
+		rewrite    func(http.Header)
+	}{
+		{"panel missing", "/v1/patterns", func(h http.Header) { h.Del("X-Snapshot-Version") }},
+		{"search disagreeing", "/v1/search", func(h http.Header) { h.Set("X-Snapshot-Version", "999") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			real := serve.NewServer(serve.Options{})
+			if _, err := real.AddTenant(serve.DefaultTenant, newGrowingSource()); err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				rec := httptest.NewRecorder()
+				real.ServeHTTP(rec, r)
+				for k, v := range rec.Header() {
+					w.Header()[k] = v
+				}
+				if r.URL.Path == tc.path {
+					tc.rewrite(w.Header())
+				}
+				w.WriteHeader(rec.Code)
+				_, _ = w.Write(rec.Body.Bytes())
+			}))
+			defer srv.Close()
+
+			res, err := Run(context.Background(), Options{
+				BaseURL:        srv.URL,
+				Users:          2,
+				Duration:       200 * time.Millisecond,
+				SearchFraction: 0.5,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Errors > 0 {
+				t.Fatalf("%d errors (first: %s)", res.Errors, res.FirstError)
+			}
+			if res.TornReads == 0 {
+				t.Errorf("no torn reads counted in %d requests", res.Requests)
+			}
+		})
+	}
+}
+
 func TestPercentile(t *testing.T) {
 	sorted := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if p := percentile(sorted, 0.50); p != 5 {

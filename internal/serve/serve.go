@@ -58,8 +58,7 @@ type Options struct {
 }
 
 // Server is the multi-tenant pattern service. Create with NewServer, add
-// tenants with AddTenant, and mount it (it implements http.Handler) —
-// standalone or alongside a webui.Server via EnableAPI.
+// tenants with AddTenant, and mount it (it implements http.Handler).
 type Server struct {
 	opts   Options
 	mux    *http.ServeMux

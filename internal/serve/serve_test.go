@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -123,8 +124,11 @@ func TestPatternsEndpointConsistentPayload(t *testing.T) {
 		t.Errorf("content type %q", ct)
 	}
 	out := decodePatterns(t, rec.Body.Bytes())
-	if out.Stats.Tenant != DefaultTenant || out.Stats.Version != 1 {
+	if out.Stats.Tenant != DefaultTenant || out.Stats.Version != 1 || out.Stats.Dataset != "fake" {
 		t.Errorf("stats identity wrong: %+v", out.Stats)
+	}
+	if p := out.Patterns[0]; p.Vertices != 2 || p.Edges != 1 || p.Score != 0.5 {
+		t.Errorf("pattern view wrong: %+v", p)
 	}
 	if len(out.Patterns) != out.Stats.Patterns {
 		t.Errorf("torn payload: %d patterns vs stats.patterns=%d", len(out.Patterns), out.Stats.Patterns)
@@ -245,6 +249,40 @@ func TestRefreshUnknownTenantAndWrongMethod(t *testing.T) {
 	}
 	if rec := doReq(s, http.MethodGet, "/v1/tenants/default/refresh", ""); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET refresh: status %d", rec.Code)
+	}
+}
+
+// TestSnapshotVersionHeaderMatchesBody: every endpoint that answers from
+// one snapshot names it in X-Snapshot-Version, and the header equals the
+// stats.version embedded in the body. The refresh row runs first, so the
+// reads that follow answer from version 2.
+func TestSnapshotVersionHeaderMatchesBody(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	query := "t # 0\nv 0 C\nv 1 O\ne 0 1\n"
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/tenants/default/refresh", query},
+		{http.MethodGet, "/v1/patterns", ""},
+		{http.MethodPost, "/v1/search", query},
+		{http.MethodPost, "/v1/suggest", query},
+		{http.MethodGet, "/v1/coverage", ""},
+	} {
+		rec := doReq(s, tc.method, tc.path, tc.body)
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s %s: status %d: %s", tc.method, tc.path, rec.Code, rec.Body.String())
+			continue
+		}
+		var out struct {
+			Stats Stats `json:"stats"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Errorf("%s %s: bad JSON: %v", tc.method, tc.path, err)
+			continue
+		}
+		got := rec.Header().Get("X-Snapshot-Version")
+		if got != strconv.FormatUint(out.Stats.Version, 10) || out.Stats.Version != 2 {
+			t.Errorf("%s %s: X-Snapshot-Version %q, body stats.version %d, want both 2",
+				tc.method, tc.path, got, out.Stats.Version)
+		}
 	}
 }
 

@@ -228,6 +228,10 @@ func (s *Snapshot) Stats() Stats { return s.stats }
 // Version returns the snapshot's monotone version number.
 func (s *Snapshot) Version() uint64 { return s.stats.Version }
 
+// Patterns returns the snapshot's canned pattern set. Callers must not
+// modify the returned slice or its patterns.
+func (s *Snapshot) Patterns() []*core.Pattern { return s.patterns }
+
 // PatternsJSON returns the pre-rendered GET /v1/patterns body. Callers must
 // not modify the returned slice.
 func (s *Snapshot) PatternsJSON() []byte { return s.patternsBody }

@@ -1,16 +1,17 @@
 package webui
 
 import (
-	"encoding/json"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/gindex"
 	"repro/internal/graph"
-	"repro/internal/suggest"
+	"repro/internal/metrics"
+	"repro/internal/serve"
 )
 
 func testPatterns() []*core.Pattern {
@@ -33,22 +34,64 @@ func testPatterns() []*core.Pattern {
 	}
 }
 
-func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
+// growingSource serves testPatterns over a one-graph database; each refresh
+// installs a new pattern slice with every refreshed graph appended as one
+// more pattern, the way the Maintainer replaces its slices.
+type growingSource struct {
+	mu    sync.Mutex
+	state serve.State
+}
+
+func (s *growingSource) State() serve.State {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.state
+}
+
+func (s *growingSource) Refresh(ctx context.Context, gs []*graph.Graph) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pats := append([]*core.Pattern(nil), s.state.Patterns...)
+	for _, g := range gs {
+		pats = append(pats, &core.Pattern{Graph: g})
+	}
+	s.state.Patterns = pats
+	return nil
+}
+
+// newPanel serves testPatterns as the default tenant of a pattern server
+// and returns the tenant's panel.
+func newPanel(t *testing.T) (http.Handler, *serve.Tenant) {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodGet, path, nil)
+	src := &growingSource{state: serve.State{
+		Dataset:  "test-db",
+		DB:       graph.NewDB("test-db", []*graph.Graph{testPatterns()[0].Graph}),
+		Patterns: testPatterns(),
+	}}
+	tn, err := serve.NewServer(serve.Options{}).AddTenant(serve.DefaultTenant, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Panel(tn), tn
+}
+
+func get(h http.Handler, path string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 	return rec
 }
 
 func TestIndexPage(t *testing.T) {
-	s := NewServer("test-db", testPatterns())
-	rec := get(t, s, "/")
+	h, _ := newPanel(t)
+	rec := get(h, "/")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
+	if v := rec.Header().Get("X-Snapshot-Version"); v != "1" {
+		t.Errorf("X-Snapshot-Version = %q, want 1", v)
+	}
 	body := rec.Body.String()
-	for _, want := range []string{"test-db", "2 patterns", "/pattern/0.svg", "/pattern/1.svg", "score=0.5000"} {
+	for _, want := range []string{"test-db", "2 patterns", "snapshot version 1", "/pattern/0.svg", "/pattern/1.svg", "score=0.5000", `href="/v1/patterns"`} {
 		if !strings.Contains(body, want) {
 			t.Errorf("index missing %q", want)
 		}
@@ -56,20 +99,23 @@ func TestIndexPage(t *testing.T) {
 }
 
 func TestIndexNotFoundForOtherPaths(t *testing.T) {
-	s := NewServer("x", testPatterns())
-	if rec := get(t, s, "/nope"); rec.Code != http.StatusNotFound {
+	h, _ := newPanel(t)
+	if rec := get(h, "/nope"); rec.Code != http.StatusNotFound {
 		t.Errorf("status %d, want 404", rec.Code)
 	}
 }
 
 func TestPatternSVG(t *testing.T) {
-	s := NewServer("x", testPatterns())
-	rec := get(t, s, "/pattern/0.svg")
+	h, _ := newPanel(t)
+	rec := get(h, "/pattern/0.svg")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
 	if ct := rec.Header().Get("Content-Type"); ct != "image/svg+xml" {
 		t.Errorf("content type %q", ct)
+	}
+	if v := rec.Header().Get("X-Snapshot-Version"); v != "1" {
+		t.Errorf("X-Snapshot-Version = %q, want 1", v)
 	}
 	if !strings.HasPrefix(rec.Body.String(), "<svg") {
 		t.Error("body is not SVG")
@@ -77,8 +123,8 @@ func TestPatternSVG(t *testing.T) {
 }
 
 func TestPatternDOT(t *testing.T) {
-	s := NewServer("x", testPatterns())
-	rec := get(t, s, "/pattern/1.dot")
+	h, _ := newPanel(t)
+	rec := get(h, "/pattern/1.dot")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -88,85 +134,43 @@ func TestPatternDOT(t *testing.T) {
 }
 
 func TestPatternBadRequests(t *testing.T) {
-	s := NewServer("x", testPatterns())
+	h, _ := newPanel(t)
 	for _, path := range []string{"/pattern/99.svg", "/pattern/-1.svg", "/pattern/abc.svg", "/pattern/0.png"} {
-		if rec := get(t, s, path); rec.Code != http.StatusNotFound {
+		if rec := get(h, path); rec.Code != http.StatusNotFound {
 			t.Errorf("%s: status %d, want 404", path, rec.Code)
 		}
 	}
 }
 
-func TestSearchEndpoint(t *testing.T) {
-	// Database with one C-O-N path; query C-O must hit it.
-	g := graph.New(3, 2)
-	c := g.AddVertex("C")
-	o := g.AddVertex("O")
-	n := g.AddVertex("N")
-	g.MustAddEdge(c, o)
-	g.MustAddEdge(o, n)
-	db := graph.NewDB("sdb", []*graph.Graph{g})
-	idx := gindex.Build(db, gindex.Options{})
-
-	s := NewServer("sdb", testPatterns())
-	s.EnableSearch(idx)
-
-	body := "t # 0\nv 0 C\nv 1 O\ne 0 1\n"
-	req := httptest.NewRequest(http.MethodPost, "/api/search", strings.NewReader(body))
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+// TestPanelFollowsRefresh: the panel renders the tenant's current
+// snapshot, so a refresh that adds a pattern shows on the next request.
+func TestPanelFollowsRefresh(t *testing.T) {
+	h, tn := newPanel(t)
+	if rec := get(h, "/pattern/2.dot"); rec.Code != http.StatusNotFound {
+		t.Fatalf("pattern 2 before refresh: status %d, want 404", rec.Code)
 	}
-	var out struct {
-		Matches int `json:"matches"`
-		Hits    []struct {
-			Graph     int   `json:"graph"`
-			Embedding []int `json:"embedding"`
-		} `json:"hits"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+	if _, err := tn.Refresh(context.Background(), []*graph.Graph{testPatterns()[1].Graph}); err != nil {
 		t.Fatal(err)
 	}
-	if out.Matches != 1 || len(out.Hits) != 1 || out.Hits[0].Graph != 0 {
-		t.Errorf("search payload wrong: %+v", out)
+	rec := get(h, "/")
+	if v := rec.Header().Get("X-Snapshot-Version"); v != "2" {
+		t.Errorf("index X-Snapshot-Version = %q after refresh, want 2", v)
+	}
+	if body := rec.Body.String(); !strings.Contains(body, "3 patterns, snapshot version 2") {
+		t.Errorf("index does not render the refreshed snapshot:\n%s", body)
+	}
+	rec = get(h, "/pattern/2.dot")
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Snapshot-Version") != "2" {
+		t.Errorf("pattern 2 after refresh: status %d, version %q", rec.Code, rec.Header().Get("X-Snapshot-Version"))
 	}
 }
 
-func TestSearchEndpointErrors(t *testing.T) {
-	s := NewServer("x", testPatterns())
-	// Not enabled.
-	req := httptest.NewRequest(http.MethodPost, "/api/search", strings.NewReader("t # 0\nv 0 C\n"))
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusNotImplemented {
-		t.Errorf("disabled search: status %d", rec.Code)
-	}
-	// Enabled: wrong method, bad body, multiple graphs.
-	db := graph.NewDB("d", []*graph.Graph{testPatterns()[0].Graph})
-	s.EnableSearch(gindex.Build(db, gindex.Options{}))
-	if rec := get(t, s, "/api/search"); rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET search: status %d", rec.Code)
-	}
-	req = httptest.NewRequest(http.MethodPost, "/api/search", strings.NewReader("garbage input"))
-	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("bad body: status %d", rec.Code)
-	}
-	two := "t # 0\nv 0 C\nt # 1\nv 0 C\n"
-	req = httptest.NewRequest(http.MethodPost, "/api/search", strings.NewReader(two))
-	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("two graphs: status %d", rec.Code)
-	}
-}
-
-// TestErrorPaths walks the render endpoints' failure surface in one table:
-// bad pattern indices, malformed DOT/SVG requests, and wrong methods — the
-// render handlers are read-only and must answer 405, never 200, to writes.
+// TestErrorPaths walks the panel's failure surface in one table: bad
+// pattern indices, malformed DOT/SVG requests, wrong methods (405 with an
+// Allow header, never 200, to writes), and the retired /api twins of
+// /v1/patterns, /v1/search and /v1/suggest, which no longer route.
 func TestErrorPaths(t *testing.T) {
-	s := NewServer("x", testPatterns())
+	h, _ := newPanel(t)
 	for _, tc := range []struct {
 		name, method, path, body string
 		want                     int
@@ -175,13 +179,16 @@ func TestErrorPaths(t *testing.T) {
 		{"index HEAD ok", http.MethodHead, "/", "", http.StatusOK},
 		{"index POST", http.MethodPost, "/", "x", http.StatusMethodNotAllowed},
 		{"index DELETE", http.MethodDelete, "/", "", http.StatusMethodNotAllowed},
-		{"json POST", http.MethodPost, "/api/patterns.json", "x", http.StatusMethodNotAllowed},
-		{"json PUT", http.MethodPut, "/api/patterns.json", "x", http.StatusMethodNotAllowed},
 		{"svg POST", http.MethodPost, "/pattern/0.svg", "x", http.StatusMethodNotAllowed},
 		{"dot POST", http.MethodPost, "/pattern/1.dot", "x", http.StatusMethodNotAllowed},
-		{"search GET", http.MethodGet, "/api/search", "", http.StatusMethodNotAllowed},
-		{"suggest GET", http.MethodGet, "/api/suggest", "", http.StatusMethodNotAllowed},
-		{"suggest DELETE", http.MethodDelete, "/api/suggest", "", http.StatusMethodNotAllowed},
+		{"json POST", http.MethodPost, "/api/patterns.json", "x", http.StatusNotFound},
+		{"json PUT", http.MethodPut, "/api/patterns.json", "x", http.StatusNotFound},
+		{"json GET", http.MethodGet, "/api/patterns.json", "", http.StatusNotFound},
+		{"search GET", http.MethodGet, "/api/search", "", http.StatusNotFound},
+		{"search POST", http.MethodPost, "/api/search", "t # 0\nv 0 C\n", http.StatusNotFound},
+		{"suggest GET", http.MethodGet, "/api/suggest", "", http.StatusNotFound},
+		{"suggest DELETE", http.MethodDelete, "/api/suggest", "", http.StatusNotFound},
+		{"suggest POST", http.MethodPost, "/api/suggest", "t # 0\nv 0 C\n", http.StatusNotFound},
 		{"dot out of range", http.MethodGet, "/pattern/2.dot", "", http.StatusNotFound},
 		{"dot negative", http.MethodGet, "/pattern/-1.dot", "", http.StatusNotFound},
 		{"dot non-numeric", http.MethodGet, "/pattern/zero.dot", "", http.StatusNotFound},
@@ -198,7 +205,7 @@ func TestErrorPaths(t *testing.T) {
 				req = httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
 			}
 			rec := httptest.NewRecorder()
-			s.ServeHTTP(rec, req)
+			h.ServeHTTP(rec, req)
 			if rec.Code != tc.want {
 				t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, rec.Code, tc.want)
 			}
@@ -209,100 +216,19 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
-// TestSuggestEndpoint exercises POST /api/suggest end to end: not-enabled
-// answers 501, a partial query ranks the containing pattern first with its
-// text attached, and bad inputs answer 400.
-func TestSuggestEndpoint(t *testing.T) {
-	s := NewServer("x", testPatterns())
-	partial := "t # 0\nv 0 C\nv 1 O\ne 0 1\n"
-
-	post := func(path, body string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, req)
-		return rec
+// TestOpsNilHealth: with no health function, /healthz still answers the
+// liveness payload; /metrics and the pprof index are mounted beside it.
+func TestOpsNilHealth(t *testing.T) {
+	mux := http.NewServeMux()
+	Ops(mux, metrics.NewRegistry().Handler(), nil)
+	rec := get(mux, "/healthz")
+	if rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != `{"status":"ok"}` {
+		t.Errorf("/healthz = %d %q, want 200 {\"status\":\"ok\"}", rec.Code, rec.Body.String())
 	}
-
-	if rec := post("/api/suggest", partial); rec.Code != http.StatusNotImplemented {
-		t.Fatalf("suggest before EnableSuggest: status %d, want 501", rec.Code)
+	if rec := get(mux, "/metrics"); rec.Code != http.StatusOK {
+		t.Errorf("/metrics status = %d", rec.Code)
 	}
-
-	s.EnableSuggest(suggest.NewEngine(s.Patterns), suggest.Options{})
-	rec := post("/api/suggest", partial)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	var out struct {
-		Stats       suggest.Stats `json:"suggest"`
-		Suggestions []struct {
-			Pattern   int    `json:"pattern"`
-			Contained bool   `json:"contained"`
-			Text      string `json:"text"`
-		} `json:"suggestions"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatalf("bad json: %v\n%s", err, rec.Body.String())
-	}
-	if len(out.Suggestions) == 0 || out.Stats.Patterns != 2 {
-		t.Fatalf("payload wrong: %+v", out)
-	}
-	// The C-O-N pattern contains the C-O partial; the C-triangle does not.
-	if out.Suggestions[0].Pattern != 0 || !out.Suggestions[0].Contained {
-		t.Errorf("top suggestion wrong: %+v", out.Suggestions[0])
-	}
-	if out.Suggestions[0].Text == "" {
-		t.Error("suggestion missing pattern text")
-	}
-
-	// Index page advertises the endpoint once enabled.
-	if body := get(t, s, "/").Body.String(); !strings.Contains(body, "/api/suggest") {
-		t.Error("index page does not mention /api/suggest after EnableSuggest")
-	}
-
-	if rec := post("/api/suggest", "garbage"); rec.Code != http.StatusBadRequest {
-		t.Errorf("garbage body: status %d", rec.Code)
-	}
-	if rec := post("/api/suggest?k=bad", partial); rec.Code != http.StatusBadRequest {
-		t.Errorf("bad k: status %d", rec.Code)
-	}
-	if rec := post("/api/suggest?k=1", partial); rec.Code != http.StatusOK {
-		t.Errorf("k=1: status %d", rec.Code)
-	}
-}
-
-// TestEnableAPI mounts a stand-in /v1 handler and checks routing: /v1/*
-// reaches the API handler, everything else still reaches the panel.
-func TestEnableAPI(t *testing.T) {
-	s := NewServer("x", testPatterns())
-	api := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusTeapot)
-	})
-	s.EnableAPI(api)
-	if rec := get(t, s, "/v1/patterns"); rec.Code != http.StatusTeapot {
-		t.Errorf("/v1/patterns did not reach the API handler: %d", rec.Code)
-	}
-	if rec := get(t, s, "/"); rec.Code != http.StatusOK {
-		t.Errorf("panel broken after EnableAPI: %d", rec.Code)
-	}
-}
-
-func TestPatternsJSON(t *testing.T) {
-	s := NewServer("jsondb", testPatterns())
-	rec := get(t, s, "/api/patterns.json")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	var out struct {
-		Dataset  string        `json:"dataset"`
-		Patterns []PatternView `json:"patterns"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatalf("bad json: %v", err)
-	}
-	if out.Dataset != "jsondb" || len(out.Patterns) != 2 {
-		t.Errorf("payload wrong: %+v", out)
-	}
-	if out.Patterns[0].Edges != 2 || out.Patterns[1].Edges != 3 {
-		t.Errorf("pattern sizes wrong: %+v", out.Patterns)
+	if rec := get(mux, "/debug/pprof/"); rec.Code != http.StatusOK {
+		t.Errorf("/debug/pprof/ status = %d", rec.Code)
 	}
 }
