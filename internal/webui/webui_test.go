@@ -2,8 +2,11 @@ package webui
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -59,26 +62,67 @@ func (s *growingSource) Refresh(ctx context.Context, gs []*graph.Graph) error {
 	return nil
 }
 
-// newPanel serves testPatterns as the default tenant of a pattern server
-// and returns the tenant's panel.
-func newPanel(t *testing.T) (http.Handler, *serve.Tenant) {
+// newTenant serves testPatterns, over a database of the one C-O-N path,
+// as the default tenant of a pattern server.
+func newTenant(t *testing.T) (*serve.Server, *serve.Tenant) {
 	t.Helper()
 	src := &growingSource{state: serve.State{
 		Dataset:  "test-db",
 		DB:       graph.NewDB("test-db", []*graph.Graph{testPatterns()[0].Graph}),
 		Patterns: testPatterns(),
 	}}
-	tn, err := serve.NewServer(serve.Options{}).AddTenant(serve.DefaultTenant, src)
+	api := serve.NewServer(serve.Options{})
+	tn, err := api.AddTenant(serve.DefaultTenant, src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return api, tn
+}
+
+// newPanel returns the panel of newTenant's tenant.
+func newPanel(t *testing.T) (http.Handler, *serve.Tenant) {
+	t.Helper()
+	_, tn := newTenant(t)
 	return Panel(tn), tn
+}
+
+// newStack mounts the panel at / and the /v1 API on one mux, the way
+// cmd/guiserve assembles its server, so a test can check that the surfaces
+// the panel links to answer from the snapshot it renders.
+func newStack(t *testing.T) (http.Handler, *serve.Tenant) {
+	t.Helper()
+	api, tn := newTenant(t)
+	mux := http.NewServeMux()
+	mux.Handle("/", Panel(tn))
+	mux.Handle("/v1/", api)
+	return mux, tn
 }
 
 func get(h http.Handler, path string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 	return rec
+}
+
+func post(h http.Handler, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	return rec
+}
+
+// decode unmarshals a 200 JSON response into out and checks that its
+// X-Snapshot-Version header is want.
+func decode(t *testing.T, rec *httptest.ResponseRecorder, want string, out any) {
+	t.Helper()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if v := rec.Header().Get("X-Snapshot-Version"); v != want {
+		t.Errorf("X-Snapshot-Version = %q, want %s", v, want)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+		t.Fatalf("bad json: %v\n%s", err, rec.Body.String())
+	}
 }
 
 func TestIndexPage(t *testing.T) {
@@ -230,5 +274,114 @@ func TestOpsNilHealth(t *testing.T) {
 	}
 	if rec := get(mux, "/debug/pprof/"); rec.Code != http.StatusOK {
 		t.Errorf("/debug/pprof/ status = %d", rec.Code)
+	}
+}
+
+// TestEnableAPI: the panel and the /v1 API share one mux, as in
+// cmd/guiserve; each answers its own routes, and both name the same
+// snapshot before and after a refresh.
+func TestEnableAPI(t *testing.T) {
+	h, tn := newStack(t)
+	for version := 1; version <= 2; version++ {
+		want := strconv.Itoa(version)
+		panel, api := get(h, "/"), get(h, "/v1/patterns")
+		if panel.Code != http.StatusOK || !strings.HasPrefix(panel.Header().Get("Content-Type"), "text/html") {
+			t.Errorf("/ did not reach the panel: %d %q", panel.Code, panel.Header().Get("Content-Type"))
+		}
+		if api.Code != http.StatusOK || api.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("/v1/patterns did not reach the API: %d %q", api.Code, api.Header().Get("Content-Type"))
+		}
+		for _, rec := range []*httptest.ResponseRecorder{panel, api} {
+			if v := rec.Header().Get("X-Snapshot-Version"); v != want {
+				t.Errorf("X-Snapshot-Version = %q, want %s", v, want)
+			}
+		}
+		if _, err := tn.Refresh(context.Background(), []*graph.Graph{testPatterns()[1].Graph}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPatternsJSON: /v1/patterns, which the index page links to as the
+// panel's JSON, serves the panel's dataset and patterns from the snapshot
+// the panel renders.
+func TestPatternsJSON(t *testing.T) {
+	h, _ := newStack(t)
+	var out serve.PatternsResponse
+	decode(t, get(h, "/v1/patterns"), "1", &out)
+	if out.Stats.Dataset != "test-db" || out.Stats.Patterns != 2 || len(out.Patterns) != 2 {
+		t.Fatalf("payload wrong: %+v", out)
+	}
+	if out.Patterns[0].Edges != 2 || out.Patterns[1].Edges != 3 {
+		t.Errorf("pattern sizes wrong: %+v", out.Patterns)
+	}
+	index := get(h, "/").Body.String()
+	for _, p := range out.Patterns {
+		if card := fmt.Sprintf("#%d &middot; |V|=%d |E|=%d<br>\n    score=%.4f", p.Index, p.Vertices, p.Edges, p.Score); !strings.Contains(index, card) {
+			t.Errorf("panel has no card %q for JSON pattern %d", card, p.Index)
+		}
+	}
+}
+
+// TestSearchEndpoint: POST /v1/search on the panel's mux searches the
+// database of the snapshot the panel renders: the C-O query hits the one
+// C-O-N graph.
+func TestSearchEndpoint(t *testing.T) {
+	h, _ := newStack(t)
+	var out serve.SearchResponse
+	decode(t, post(h, "/v1/search", "t # 0\nv 0 C\nv 1 O\ne 0 1\n"), "1", &out)
+	if out.Stats.Version != 1 || out.Matches != 1 || len(out.Graphs) != 1 || out.Graphs[0] != 0 {
+		t.Errorf("search payload wrong: %+v", out)
+	}
+}
+
+// TestSearchEndpointErrors: on the panel's mux, search takes POST only
+// (405 with Allow to GET), answers 400 to a malformed body and to a body of
+// two graphs, and has no /api twin.
+func TestSearchEndpointErrors(t *testing.T) {
+	h, _ := newStack(t)
+	if rec := get(h, "/v1/search"); rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != http.MethodPost {
+		t.Errorf("GET search: status %d, Allow %q", rec.Code, rec.Header().Get("Allow"))
+	}
+	if rec := post(h, "/v1/search", "garbage input"); rec.Code != http.StatusBadRequest {
+		t.Errorf("bad body: status %d", rec.Code)
+	}
+	if rec := post(h, "/v1/search", "t # 0\nv 0 C\nt # 1\nv 0 C\n"); rec.Code != http.StatusBadRequest {
+		t.Errorf("two graphs: status %d", rec.Code)
+	}
+	if rec := post(h, "/api/search", "t # 0\nv 0 C\n"); rec.Code != http.StatusNotFound {
+		t.Errorf("/api/search: status %d, want 404", rec.Code)
+	}
+}
+
+// TestSuggestEndpoint: POST /v1/suggest, which the index page advertises,
+// ranks the panel's patterns as completions of a partial query: the C-O-N
+// pattern contains the C-O partial and comes first, with its text; ?k=
+// caps the list, and a malformed body or k answers 400.
+func TestSuggestEndpoint(t *testing.T) {
+	h, _ := newStack(t)
+	if body := get(h, "/").Body.String(); !strings.Contains(body, "/v1/suggest") {
+		t.Error("index page does not mention /v1/suggest")
+	}
+	partial := "t # 0\nv 0 C\nv 1 O\ne 0 1\n"
+	var out serve.SuggestResponse
+	decode(t, post(h, "/v1/suggest", partial), "1", &out)
+	if len(out.Suggestions) == 0 || out.Suggest.Patterns != 2 {
+		t.Fatalf("payload wrong: %+v", out)
+	}
+	// The C-O-N pattern contains the C-O partial; the C-triangle does not.
+	if top := out.Suggestions[0]; top.Pattern != 0 || !top.Contained || top.Text == "" {
+		t.Errorf("top suggestion wrong: %+v", top)
+	}
+	var one serve.SuggestResponse
+	decode(t, post(h, "/v1/suggest?k=1", partial), "1", &one)
+	if len(one.Suggestions) != 1 {
+		t.Errorf("k=1: %d suggestions", len(one.Suggestions))
+	}
+	if rec := post(h, "/v1/suggest", "garbage"); rec.Code != http.StatusBadRequest {
+		t.Errorf("garbage body: status %d", rec.Code)
+	}
+	if rec := post(h, "/v1/suggest?k=bad", partial); rec.Code != http.StatusBadRequest {
+		t.Errorf("bad k: status %d", rec.Code)
 	}
 }
