@@ -109,18 +109,32 @@ func main() {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "selected %d patterns\n", len(m.Patterns()))
-	fmt.Fprintf(os.Stderr, "serving pattern panel + /v1 pattern API on http://localhost%s/ (GET /v1/patterns, POST /v1/search, POST /v1/suggest, POST /v1/tenants/%s/refresh; /metrics, /healthz, /debug/pprof/)\n",
-		*addr, catapult.ServeDefaultTenant)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
 	}
+	fmt.Fprintf(os.Stderr, "serving pattern panel + /v1 pattern API on %s (GET /v1/patterns, POST /v1/search, POST /v1/suggest, POST /v1/tenants/%s/refresh; /metrics, /healthz, /debug/pprof/)\n",
+		listenURL(ln.Addr().String()), catapult.ServeDefaultTenant)
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	if err := gracefulServe(ln, srv, stop, *drain, flush); err != nil {
 		fatal(err)
 	}
+}
+
+// listenURL is the URL of the panel served at the listen address addr
+// (host:port): the address itself, with an empty or unspecified host
+// shown as localhost.
+func listenURL(addr string) string {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return "http://" + addr + "/"
+	}
+	if ip := net.ParseIP(host); host == "" || ip != nil && ip.IsUnspecified() {
+		host = "localhost"
+	}
+	return "http://" + net.JoinHostPort(host, port) + "/"
 }
 
 // gracefulServe serves h on ln until a signal arrives on stop, then shuts

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -430,5 +431,32 @@ func TestEverySurfaceFollowsRefreshes(t *testing.T) {
 			t.Errorf("/pattern/%d.dot at version %q differs from pattern %d of /v1/patterns:\n%s\nwant\n%s",
 				i, rec.Header().Get("X-Snapshot-Version"), i, rec.Body.String(), want.String())
 		}
+	}
+}
+
+// TestListenURL pins the address guiserve logs: the listener's own host
+// and port, with an empty or unspecified host shown as localhost, so
+// `-addr :0` shows the port the kernel chose.
+func TestListenURL(t *testing.T) {
+	for _, tc := range []struct{ addr, want string }{
+		{":8080", "http://localhost:8080/"},
+		{"[::]:8080", "http://localhost:8080/"},
+		{"0.0.0.0:8080", "http://localhost:8080/"},
+		{"127.0.0.1:18099", "http://127.0.0.1:18099/"},
+		{"[::1]:9000", "http://[::1]:9000/"},
+	} {
+		if got := listenURL(tc.addr); got != tc.want {
+			t.Errorf("listenURL(%q) = %q, want %q", tc.addr, got, tc.want)
+		}
+	}
+
+	ln, err := net.Listen("tcp", ":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	port := strconv.Itoa(ln.Addr().(*net.TCPAddr).Port)
+	if got, want := listenURL(ln.Addr().String()), "http://localhost:"+port+"/"; got != want || port == "0" {
+		t.Errorf("-addr :0 listening on %v: listenURL = %q, want %q", ln.Addr(), got, want)
 	}
 }

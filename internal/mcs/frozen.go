@@ -14,21 +14,33 @@ type pair32 struct{ v1, v2 int32 }
 
 // Searcher is a reusable McGregor-style MCCS searcher over frozen (CSR)
 // graphs. All per-search state — the two direction maps, the current and
-// best mappings, per-depth candidate and gain buffers, the candidate-dedup
-// bitset and the seed-pair list — lives in reusable buffers that grow
-// monotonically, so a warm Searcher runs its inner loop (candidate
-// enumeration, gain counting, insertion sort, place/extend/unplace) with
-// zero allocations; repeated searches over the same frozen pair reuse the
-// cached sorted seeds and allocate nothing at all. A Searcher is not safe
-// for concurrent use; the package-level entry points draw from a
-// sync.Pool.
+// best mappings, the gain matrix, per-depth candidate and gain lists and
+// the seed-pair list — lives in reusable buffers that grow monotonically,
+// so a warm Searcher runs its inner loop (place/extend/unplace and the
+// candidate lists) with zero allocations; repeated searches over the same
+// frozen pair reuse the cached sorted seeds and allocate nothing at all. A
+// Searcher is not safe for concurrent use; the package-level entry points
+// draw from a sync.Pool.
+//
+// The candidate frontier is kept incrementally. The n1×n2 gain matrix
+// holds, for every unmapped label-equal pair (a, b), the number of mapped
+// pairs (x, y) with a~x and b~y: the common edges mapping (a, b) would
+// add. place(x, y) raises the cells of x's and y's unmapped, alive,
+// label-equal neighbour pairs and unplace lowers the same cells; because
+// placements are undone in LIFO order, every unmapped cell is exact at
+// every node. A node's candidates are its parent's list minus the pairs
+// sharing a vertex with the pair just placed, plus the cells that
+// placement raised from 0, with gains read from the matrix; insertion sort
+// restores the order of the nearly sorted list.
 //
 // The exploration order is fixed: seed pairs are enumerated in (v1, v2)
-// order and sorted by degree product with sort.Slice; candidates are
-// dedup'd to their first-occurrence order and then ordered by the strict
-// total order (gain desc, V1 asc, V2 asc). Budget-exhausted results depend
-// on that order, so the test suite checks them, with every other result,
-// against an MCCS oracle on the mutable graph representation.
+// order and sorted by degree product with sort.Slice; the candidates of a
+// node are exactly the unmapped label-equal pairs with gain >= 1, ordered
+// by the strict total order (gain desc, V1 asc, V2 asc), however the list
+// was built. Budget-exhausted results depend on that order, so the test
+// suite checks them, with every other result and the number of nodes
+// explored, against an MCCS oracle on the mutable graph representation
+// that rebuilds the candidates from scratch at every node.
 type Searcher struct {
 	f1, f2         *graph.Frozen
 	alive1, alive2 []bool // optional masks (MCS greedy rounds); nil = all alive
@@ -47,9 +59,11 @@ type Searcher struct {
 	seeds                []pair32
 	seedsFor1, seedsFor2 *graph.Frozen // seed-cache key; valid only for unmasked searches
 
+	n2        int
+	gains     []int32  // n1*n2 gain matrix, cell a*n2+b; exact for unmapped pairs
+	fresh     []pair32 // cells the last place raised from 0, in raise order
 	candStack [][]pair32
 	gainStack [][]int32
-	seen      []uint64 // n1*n2 dedup bitset scratch
 }
 
 // NewSearcher returns an empty searcher ready for use.
@@ -84,6 +98,13 @@ func (s *Searcher) prepare(f1, f2 *graph.Frozen, alive1, alive2 []bool, budget i
 	s.minE = min(f1.NumEdges(), f2.NumEdges())
 	s.ctx = nil
 	s.ctxErr = nil
+	s.n2 = f2.NumVertices()
+	cells := f1.NumVertices() * s.n2
+	if cap(s.gains) < cells {
+		s.gains = make([]int32, cells)
+	}
+	s.gains = s.gains[:cells]
+	clear(s.gains)
 
 	if alive1 == nil && alive2 == nil && f1 == s.seedsFor1 && f2 == s.seedsFor2 {
 		return
@@ -137,25 +158,41 @@ func (s *Searcher) place(p pair32, gain int) {
 	s.m21[p.v2] = p.v1
 	s.cur = append(s.cur, p)
 	s.curEdges += gain
+	s.fresh = s.fresh[:0]
+	s.bump(p, 1)
 }
 
+// unplace undoes place(p, gain), which must be the latest placement still
+// standing: no other vertex changed state since, so the cells it lowers
+// are the ones place raised.
 func (s *Searcher) unplace(p pair32, gain int) {
+	s.bump(p, -1)
 	s.m12[p.v1] = -1
 	s.m21[p.v2] = -1
 	s.cur = s.cur[:len(s.cur)-1]
 	s.curEdges -= gain
 }
 
-// gain counts common edges created by adding pair p to the current
-// mapping.
-func (s *Searcher) gain(p pair32) int32 {
-	var g int32
-	for _, n1 := range s.f1.Neighbors(p.v1) {
-		if img := s.m12[n1]; img >= 0 && s.f2.HasEdge(p.v2, img) {
-			g++
+// bump adds d to the gain cell of every unmapped, alive, label-equal pair
+// of neighbours of the mapped pair p. Raising, it records the cells that
+// leave 0 in s.fresh.
+func (s *Searcher) bump(p pair32, d int32) {
+	nb2 := s.f2.Neighbors(p.v2)
+	for _, a := range s.f1.Neighbors(p.v1) {
+		if s.m12[a] >= 0 || s.alive1 != nil && !s.alive1[a] {
+			continue
+		}
+		la, row := s.f1.Label(a), s.gains[int(a)*s.n2:]
+		for _, b := range nb2 {
+			if s.m21[b] >= 0 || s.alive2 != nil && !s.alive2[b] || la != s.f2.Label(b) {
+				continue
+			}
+			row[b] += d
+			if d > 0 && row[b] == 1 {
+				s.fresh = append(s.fresh, pair32{a, b})
+			}
 		}
 	}
-	return g
 }
 
 func (s *Searcher) extend() {
@@ -177,27 +214,23 @@ func (s *Searcher) extend() {
 	}
 
 	cands, gains := s.candidates()
-	for i := range cands {
-		c, g := cands[i], gains[i]
-		if g == 0 {
-			continue // adjacency-connected candidates always gain >= 1
-		}
-		s.place(c, int(g))
+	for i, c := range cands {
+		g := int(gains[i])
+		s.place(c, g)
 		s.extend()
-		s.unplace(c, int(g))
+		s.unplace(c, g)
 		if s.nodes >= s.budget || s.bestEdge >= s.minE || s.ctxErr != nil {
 			return
 		}
 	}
 }
 
-// candidates enumerates unmapped label-compatible pairs adjacent (in both
-// graphs) to the current mapping, with their gains, ordered by gain
-// descending then (V1, V2). Buffers are per-depth so recursive calls
-// don't clobber the caller's slice. Gains are computed once here: the
+// candidates derives the node's candidate list from its parent's, as the
+// Searcher doc describes, with gains, ordered by gain descending then
+// (V1, V2). Buffers are per-depth, so the parent's list stays intact while
+// its children are explored, and gains are read once here: the
 // place/unplace pairs in the extension loop are balanced, so the mapping
-// state when a candidate is tried equals the state it was enumerated
-// under.
+// state when a candidate is tried equals the state it was listed under.
 func (s *Searcher) candidates() ([]pair32, []int32) {
 	depth := len(s.cur)
 	for len(s.candStack) <= depth {
@@ -205,51 +238,22 @@ func (s *Searcher) candidates() ([]pair32, []int32) {
 		s.gainStack = append(s.gainStack, nil)
 	}
 	out := s.candStack[depth][:0]
-	n2 := s.f2.NumVertices()
-	words := (s.f1.NumVertices()*n2 + 63) / 64
-	if cap(s.seen) < words {
-		s.seen = make([]uint64, words)
-	}
-	seen := s.seen[:words]
-	for i := range seen {
-		seen[i] = 0
-	}
-	for _, mp := range s.cur {
-		for _, n1 := range s.f1.Neighbors(mp.v1) {
-			if s.m12[n1] >= 0 {
-				continue
-			}
-			if s.alive1 != nil && !s.alive1[n1] {
-				continue
-			}
-			l1 := s.f1.Label(n1)
-			for _, nb2 := range s.f2.Neighbors(mp.v2) {
-				if s.m21[nb2] >= 0 {
-					continue
-				}
-				if s.alive2 != nil && !s.alive2[nb2] {
-					continue
-				}
-				if l1 != s.f2.Label(nb2) {
-					continue
-				}
-				bit := int(n1)*n2 + int(nb2)
-				if seen[bit>>6]&(1<<(uint(bit)&63)) != 0 {
-					continue
-				}
-				seen[bit>>6] |= 1 << (uint(bit) & 63)
-				out = append(out, pair32{n1, nb2})
-			}
+	gains := s.gainStack[depth][:0]
+	p := s.cur[depth-1]
+	for _, c := range s.candStack[depth-1] { // the root's list, [0], stays empty
+		if c.v1 != p.v1 && c.v2 != p.v2 {
+			out = append(out, c)
+			gains = append(gains, s.gains[int(c.v1)*s.n2+int(c.v2)])
 		}
 	}
-
-	gains := s.gainStack[depth][:0]
-	for _, c := range out {
-		gains = append(gains, s.gain(c))
+	for _, c := range s.fresh {
+		out = append(out, c)
+		gains = append(gains, s.gains[int(c.v1)*s.n2+int(c.v2)])
 	}
 	// Insertion sort by (gain desc, v1 asc, v2 asc) — a strict total
-	// order over the dedup'd pairs, so any correct sort yields this
-	// sequence; insertion sort does it without allocating.
+	// order over distinct pairs, so any correct sort yields this sequence.
+	// Only raised gains and the fresh cells are out of place, so the
+	// nearly sorted list costs little, and nothing is allocated.
 	for i := 1; i < len(out); i++ {
 		c, g := out[i], gains[i]
 		j := i - 1
@@ -293,11 +297,16 @@ func (s *Searcher) SimilarityMCCS(f1, f2 *graph.Frozen, budget int) float64 {
 // exhausted reports whether the last search stopped at its node budget.
 func (s *Searcher) exhausted() bool { return s.nodes >= s.budget }
 
-// countExhausted counts a search stopped by its node budget on ctx's
-// pipeline tracer (CounterMCSBudgetExhausted).
-func (s *Searcher) countExhausted(ctx context.Context) {
+// count records the last search on ctx's pipeline tracer: the nodes it
+// expanded (CounterMCSNodes) and, if its node budget stopped it,
+// CounterMCSBudgetExhausted.
+func (s *Searcher) count(ctx context.Context) {
+	tr := pipeline.From(ctx)
+	if s.nodes > 0 {
+		tr.Add(pipeline.CounterMCSNodes, int64(s.nodes))
+	}
 	if s.exhausted() {
-		pipeline.From(ctx).Add(pipeline.CounterMCSBudgetExhausted, 1)
+		tr.Add(pipeline.CounterMCSBudgetExhausted, 1)
 	}
 }
 
@@ -316,10 +325,10 @@ func (s *Searcher) result() Result {
 // the given node budget (DefaultBudget if budget <= 0), with cooperative
 // cancellation: the backtracking search polls ctx at node-expansion
 // boundaries and returns ctx.Err() when cancelled. Each call is counted on
-// the context's pipeline tracer (CounterMCSCalls), and a search stopped by
-// its node budget also as CounterMCSBudgetExhausted. Both graphs are
-// frozen on first use (memoized on the graphs) and the search runs on the
-// CSR form.
+// the context's pipeline tracer (CounterMCSCalls) with the nodes its search
+// expanded (CounterMCSNodes), and a search stopped by its node budget also
+// as CounterMCSBudgetExhausted. Both graphs are frozen on first use
+// (memoized on the graphs) and the search runs on the CSR form.
 func MCCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (Result, error) {
 	pipeline.From(ctx).Add(pipeline.CounterMCSCalls, 1)
 	if budget <= 0 {
@@ -332,7 +341,7 @@ func MCCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (Result, erro
 		searcherPool.Put(s)
 		return Result{}, err
 	}
-	s.countExhausted(ctx)
+	s.count(ctx)
 	r := s.result()
 	searcherPool.Put(s)
 	return r, nil
@@ -342,7 +351,8 @@ func MCCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (Result, erro
 // computed as a greedy union of MCCS components with the shared budget
 // split across component searches. Cancellation is checked between (and
 // inside) the component MCCS searches. Each round masks the vertices
-// matched by earlier components and is counted as one MCS call.
+// matched by earlier components and is counted as one MCS call, with the
+// nodes its search expanded.
 func MCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (Result, error) {
 	if budget <= 0 {
 		budget = DefaultBudget
@@ -368,7 +378,7 @@ func MCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (Result, error
 		if err := s.ctxErr; err != nil {
 			return Result{}, err
 		}
-		s.countExhausted(ctx)
+		s.count(ctx)
 		exhausted = exhausted || s.exhausted()
 		if s.bestEdge == 0 {
 			break
@@ -399,7 +409,7 @@ func SimilarityMCCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (fl
 	s.run(ctx)
 	edges, err := s.bestEdge, s.ctxErr
 	if err == nil {
-		s.countExhausted(ctx)
+		s.count(ctx)
 	}
 	searcherPool.Put(s)
 	if err != nil {

@@ -2,11 +2,15 @@ package mcs
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/canon"
+	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/pipeline"
 	"repro/internal/raceflag"
 )
 
@@ -28,7 +32,8 @@ func randomGraph(rng *rand.Rand, n, m int, labels []string) *graph.Graph {
 // TestFrozenSearcherMatchesLegacy cross-checks the Searcher against the
 // MCCS/MCS oracle on the mutable representation (legacy_test.go) on random
 // pairs, including tight budgets where results depend on the exact
-// exploration order: identical pairs, edge counts and exhaustion flags.
+// exploration order: identical pairs, edge counts and exhaustion flags,
+// and an mcs_nodes count equal to the nodes the oracle expanded.
 func TestFrozenSearcherMatchesLegacy(t *testing.T) {
 	labels := []string{"C", "N", "O"}
 	rng := rand.New(rand.NewSource(99))
@@ -37,14 +42,18 @@ func TestFrozenSearcherMatchesLegacy(t *testing.T) {
 		g1 := randomGraph(rng, 4+rng.Intn(8), 3+rng.Intn(10), labels)
 		g2 := randomGraph(rng, 4+rng.Intn(8), 3+rng.Intn(10), labels)
 		for _, budget := range []int{30, 500, DefaultBudget} {
-			want := legacyMCCS(g1, g2, budget)
-			got, err := MCCSCtx(ctx, g1, g2, budget)
+			want, wantNodes := legacyMCCSNodes(g1, g2, budget)
+			rec := pipeline.NewRecorder()
+			got, err := MCCSCtx(pipeline.WithTrace(ctx, rec), g1, g2, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("iter %d budget %d: MCCS diverges\n frozen: %+v\n legacy: %+v\n g1=%v\n g2=%v",
 					iter, budget, got, want, g1, g2)
+			}
+			if nodes := rec.Total(pipeline.CounterMCSNodes); nodes != int64(wantNodes) {
+				t.Fatalf("iter %d budget %d: mcs_nodes = %d, oracle expanded %d", iter, budget, nodes, wantNodes)
 			}
 
 			wantM := legacyMCS(g1, g2, budget)
@@ -69,6 +78,78 @@ func TestFrozenSearcherMatchesLegacy(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFrozenSearcherMatchesLegacyOnMolecules runs the differential at
+// fine-clustering scale: aids-like molecules of 15-35 vertices at budgets
+// where every search is cut off, so the result depends on the exploration
+// order. Each pair is searched as generated, as the canonical
+// representatives simcache evaluates, and through the masked rounds of
+// MCS; the first molecule is also searched against its own canonical
+// representative, where the search closes rings and gains rise above 1.
+// Every search must agree with the oracle on pairs, edges, exhaustion and
+// the nodes it expanded, and leave the gain matrix all zero.
+func TestFrozenSearcherMatchesLegacyOnMolecules(t *testing.T) {
+	db := dataset.AIDSLike(24, 3)
+	s := NewSearcher()
+	// check runs the Searcher on (g1, g2) under the masks and the oracle on
+	// (o1, o2), where the masked vertices carry sentinel labels.
+	check := func(what string, g1, g2, o1, o2 *graph.Graph, alive1, alive2 []bool, budget int) Result {
+		t.Helper()
+		want, wantNodes := legacyMCCSNodes(o1, o2, budget)
+		s.prepare(g1.Freeze(), g2.Freeze(), alive1, alive2, budget)
+		s.run(context.Background())
+		if got := s.result(); !reflect.DeepEqual(got, want) || s.nodes != wantNodes {
+			t.Fatalf("%s, budget %d: MCCS diverges\n frozen: %+v (%d nodes)\n legacy: %+v (%d nodes)",
+				what, budget, got, s.nodes, want, wantNodes)
+		}
+		for i, g := range s.gains {
+			if g != 0 {
+				t.Fatalf("%s, budget %d: gain cell (%d, %d) = %d after the search, want 0",
+					what, budget, i/s.n2, i%s.n2, g)
+			}
+		}
+		return want
+	}
+	for i := 0; i+1 < db.Len(); i += 2 {
+		g1, g2 := db.Graph(i), db.Graph(i+1)
+		r1, r2 := canonicalRep(t, g1), canonicalRep(t, g2)
+		for _, budget := range []int{4000, 20000} {
+			check("generated", g1, g2, g1, g2, nil, nil, budget)
+			check("canonical", r1, r2, r1, r2, nil, nil, budget)
+			check("self", g1, r1, g1, r1, nil, nil, budget)
+			h1, h2 := g1.Clone(), g2.Clone()
+			alive1, alive2 := allAlive(g1.NumVertices()), allAlive(g2.NumVertices())
+			for round := 0; ; round++ {
+				r := check(fmt.Sprintf("MCS round %d", round), g1, g2, h1, h2, alive1, alive2, budget)
+				if r.Edges == 0 {
+					break
+				}
+				for _, p := range r.Pairs {
+					h1.SetLabel(p.V1, tomb)
+					h2.SetLabel(p.V2, tomb+"2")
+					alive1[p.V1], alive2[p.V2] = false, false
+				}
+			}
+		}
+	}
+}
+
+func canonicalRep(t *testing.T, g *graph.Graph) *graph.Graph {
+	t.Helper()
+	r, err := canon.Reconstruct(canon.String(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func allAlive(n int) []bool {
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = true
+	}
+	return alive
 }
 
 // TestMCSZeroAllocSteadyState pins the frozen MCCS inner loop at zero

@@ -1,10 +1,11 @@
 // The MCCS half of the frozen-graph matcher regression gate. `make
 // bench-gate-graph` runs it together with the VF2 half in internal/subiso;
 // it merges the similarity keys into BENCH_graph.json at the repository
-// root. The similarity speedup over the MCCS oracle on the mutable
-// representation (legacy_test.go) is recorded but not gated: the
-// Searcher's win there is mostly allocation behavior, which is
-// workload-dependent.
+// root, with the host's core count. The similarity speedup over the MCCS
+// oracle on the mutable representation (legacy_test.go) is recorded but
+// not gated: the Searcher's win there — the incremental candidate frontier
+// against per-node rebuilds, and no allocation — grows with graph size and
+// search depth, so it depends on the workload.
 package mcs
 
 import (
@@ -12,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -87,7 +89,8 @@ func TestGraphBenchGate(t *testing.T) {
 }
 
 // mergeBenchKeys sets keys in the JSON object stored at path, keeping the
-// keys the other half of the gate wrote there.
+// keys the other half of the gate wrote there, and records the host's core
+// count and GOMAXPROCS beside them.
 func mergeBenchKeys(path string, keys map[string]float64) error {
 	report := make(map[string]float64)
 	if buf, err := os.ReadFile(path); err == nil {
@@ -98,6 +101,8 @@ func mergeBenchKeys(path string, keys map[string]float64) error {
 	for k, v := range keys {
 		report[k] = v
 	}
+	report["num_cpu"] = float64(runtime.NumCPU())
+	report["gomaxprocs"] = float64(runtime.GOMAXPROCS(0))
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err

@@ -27,6 +27,13 @@ type legacySearcher struct {
 
 // legacyMCCS is the oracle for MCCSCtx.
 func legacyMCCS(g1, g2 *graph.Graph, budget int) Result {
+	r, _ := legacyMCCSNodes(g1, g2, budget)
+	return r
+}
+
+// legacyMCCSNodes is legacyMCCS that also returns the number of search
+// nodes it expanded, the oracle for CounterMCSNodes.
+func legacyMCCSNodes(g1, g2 *graph.Graph, budget int) (Result, int) {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
@@ -48,15 +55,18 @@ func legacyMCCS(g1, g2 *graph.Graph, budget int) Result {
 			break
 		}
 	}
-	return Result{Pairs: s.best, Edges: s.bestEdge, Exhausted: s.nodes >= s.budget}
+	return Result{Pairs: s.best, Edges: s.bestEdge, Exhausted: s.nodes >= s.budget}, s.nodes
 }
+
+// tomb is the sentinel label legacyMCS gives a matched vertex of G1 (and
+// tomb+"2" one of G2), so the two never match each other or a live label.
+const tomb = "\x00removed"
 
 // legacyMCS is the oracle for MCSCtx: the greedy union of MCCS components,
 // with matched vertices removed by relabeling graph clones to sentinels
 // that never match.
 func legacyMCS(g1, g2 *graph.Graph, budget int) Result {
 	h1, h2 := g1.Clone(), g2.Clone()
-	const tomb = "\x00removed"
 	var all []Pair
 	total := 0
 	exhausted := false

@@ -76,8 +76,9 @@ type Result struct {
 // search exact. The search has no bound to prune with and revisits every
 // mapping in every order, so on molecules of ~10-60 vertices it rarely
 // finishes: all 657 MCCS searches of a quickstart mine stop at the 20000
-// nodes fine clustering grants them (counted as mcs_budget_exhausted),
-// and the result is then the best mapping found in the budget.
+// nodes fine clustering grants them (counted as mcs_budget_exhausted, and
+// their 13.14M nodes as mcs_nodes), and the result is then the best
+// mapping found in the budget.
 const DefaultBudget = 200000
 
 // ctxCheckMask throttles cancellation polling to once every 256 explored

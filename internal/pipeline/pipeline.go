@@ -105,6 +105,10 @@ const (
 	// CounterMCSBudgetExhausted counts MCS/MCCS searches stopped by their
 	// node budget before exploring their whole search space.
 	CounterMCSBudgetExhausted Counter = "mcs_budget_exhausted"
+	// CounterMCSNodes counts the search-tree nodes expanded by MCS/MCCS
+	// searches, finished or stopped by their node budget (a cancelled
+	// search is not counted); with mcs_calls it gives nodes per search.
+	CounterMCSNodes Counter = "mcs_nodes"
 	// CounterGEDCalls counts full (non-pruned) GED computations.
 	CounterGEDCalls Counter = "ged_calls"
 	// CounterGEDExact counts GED computations of the min-GED loop that A*

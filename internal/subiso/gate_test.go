@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -115,7 +116,8 @@ func TestGraphBenchGate(t *testing.T) {
 }
 
 // mergeBenchKeys sets keys in the JSON object stored at path, keeping the
-// keys the other half of the gate wrote there.
+// keys the other half of the gate wrote there, and records the host's core
+// count and GOMAXPROCS beside them.
 func mergeBenchKeys(path string, keys map[string]float64) error {
 	report := make(map[string]float64)
 	if buf, err := os.ReadFile(path); err == nil {
@@ -126,6 +128,8 @@ func mergeBenchKeys(path string, keys map[string]float64) error {
 	for k, v := range keys {
 		report[k] = v
 	}
+	report["num_cpu"] = float64(runtime.NumCPU())
+	report["gomaxprocs"] = float64(runtime.GOMAXPROCS(0))
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
