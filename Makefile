@@ -48,20 +48,22 @@ race:
 
 # diff-race runs the differential tests — engines and kernels against their
 # test-file oracles (among them bound-ordered against exhaustive scoring,
-# the walk index against map walks, and the array A* against the map A*),
-# outputs across worker counts — under -race and without
-# result caching, so cache-freshness never masks a divergence. Every suite
-# runs under GOMAXPROCS 1, 2 and 4, so a pass on one core cannot hide a
-# scheduling bug. Includes the large-network suites: decomposition must be
-# bit-identical across GOMAXPROCS and the text/binary loaders must select
-# identically, and the suggest suite: unbudgeted autocompletion rankings
-# must not depend on GOMAXPROCS. The golden suite selects every input under
-# GOMAXPROCS 1, 2 and 4 itself, so it runs once.
+# the walk index against map walks, the array A* against the map A*, and
+# the array subgraph sampler against the map sampler), outputs across
+# worker counts — under -race and without result caching, so
+# cache-freshness never masks a divergence. Every suite runs under
+# GOMAXPROCS 1, 2 and 4, so a pass on one core cannot hide a scheduling
+# bug. Includes the large-network suites: decomposition must be
+# bit-identical across GOMAXPROCS and to its binary-search, map-sampler
+# oracle, and the text/binary loaders must select identically, and the
+# suggest suite: unbudgeted autocompletion rankings must not depend on
+# GOMAXPROCS. The golden suite selects every input under GOMAXPROCS 1, 2
+# and 4 itself, so it runs once.
 diff-race:
 	@for p in 1 2 4; do \
 		echo "GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'Differential|MatchesLegacy|MatchesNaive' \
-			./internal/core/ ./internal/cluster/ ./internal/bignet/ ./internal/suggest/ \
+			./internal/core/ ./internal/cluster/ ./internal/bignet/ ./internal/graph/ ./internal/suggest/ \
 			./internal/subiso/ ./internal/mcs/ ./internal/simcache/ ./internal/ged/ . || exit 1; \
 	done
 	$(GO) test -race -count=1 -run 'Golden' .
@@ -104,7 +106,8 @@ bignet-race:
 
 # fuzz-bignet gives each bignet fuzz target a short coverage-guided
 # session: the lenient text loader, the hostile-bytes binary loader, and
-# the partition invariants. FUZZTIME overrides the per-target budget.
+# the partition invariants and oracle. FUZZTIME overrides the per-target
+# budget.
 FUZZTIME ?= 15s
 fuzz-bignet:
 	$(GO) test -run '^$$' -fuzz '^FuzzEdgeListLoader$$' -fuzztime $(FUZZTIME) ./internal/bignet/

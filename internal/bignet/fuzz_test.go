@@ -3,8 +3,12 @@ package bignet
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/graph"
 )
 
 // FuzzEdgeListLoader pins the text loader's robustness contract:
@@ -69,11 +73,21 @@ func FuzzBinaryLoader(f *testing.F) {
 
 // FuzzPartitionInvariants pins the edge partition on loader-built
 // networks from arbitrary text: every edge lands in exactly one region,
-// no region exceeds the cap, and every region is non-empty.
+// no region exceeds the cap, every region is non-empty, and the regions
+// equal the oracle partition's, for the network as loaded and for its
+// Freeze()-built copies (one lists its edge pairs in insertion order, not
+// sorted).
 func FuzzPartitionInvariants(f *testing.F) {
 	f.Add("1 2\n2 3\n3 1\n1 4\n4 5\n", 2)
 	f.Add("v 0 a\nv 1 b\n0 1\n", 1)
 	f.Add("1 2\n3 4\n5 6\n7 8\n", 3) // disconnected components
+	// A hub on two triangles and a tail: five vertices tie at degree 2.
+	f.Add("9 1\n9 2\n1 2\n9 3\n9 4\n3 4\n9 5\n5 6\n", 2)
+	var net bytes.Buffer
+	if err := dataset.WriteNetworkText(&net, dataset.NetworkConfig{Vertices: 64, Edges: 300, Labels: 3, Seed: 1}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(net.String(), 9)
 	f.Fuzz(func(t *testing.T, input string, cap int) {
 		fz, _, err := LoadEdgeListCtx(context.Background(), strings.NewReader(input), LoadOptions{})
 		if err != nil {
@@ -85,10 +99,16 @@ func FuzzPartitionInvariants(f *testing.F) {
 		if cap > 1<<20 {
 			cap = 1 << 20
 		}
-		regions, err := partitionEdges(context.Background(), fz, cap)
-		if err != nil {
-			t.Fatalf("partition errored: %v", err)
+		want := legacyPartition(fz, cap)
+		for i, g := range append([]*graph.Frozen{fz}, freezeCopies(fz)...) {
+			regions, err := partitionEdges(context.Background(), g, cap)
+			if err != nil {
+				t.Fatalf("partition errored: %v", err)
+			}
+			checkPartition(t, g, regions, cap)
+			if !reflect.DeepEqual(regions, want) {
+				t.Fatalf("copy %d: partition diverges from the oracle (%d vs %d regions)", i, len(regions), len(want))
+			}
 		}
-		checkPartition(t, fz, regions, cap)
 	})
 }

@@ -15,12 +15,12 @@
 // partition is a pure function of the frozen network — bit-identical
 // across GOMAXPROCS settings and runs, which the differential suite and
 // FuzzPartitionInvariants pin (every edge in exactly one region, sizes
-// within the cap).
+// within the cap, the same regions as the binary-search oracle in the
+// test files).
 package bignet
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/pipeline"
@@ -43,39 +43,52 @@ type Region struct {
 // NumEdges returns the region's edge count.
 func (r *Region) NumEdges() int { return len(r.Edges) / 2 }
 
-func packEdge(u, v int32) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
-}
-
-// edgeIndex resolves edge keys to dense edge IDs by binary search over
-// the sorted key array.
-type edgeIndex []uint64
-
-func newEdgeIndex(f *graph.Frozen) edgeIndex {
-	ep := f.EdgePairs()
-	keys := make(edgeIndex, 0, len(ep)/2)
-	for i := 0; i < len(ep); i += 2 {
-		keys = append(keys, packEdge(ep[i], ep[i+1]))
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func (ix edgeIndex) id(u, v int32) int {
-	key := packEdge(u, v)
-	lo, hi := 0, len(ix)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ix[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
+// slotEdges numbers the network's edges by CSR slot: both slots of an
+// edge hold its rank among the canonical (u < v) pairs in ascending order,
+// the dense edge ID. One pass over the rows in ascending u numbers each
+// slot (u, v) with v > u in that order. Its twin in row v is the next
+// unfilled slot of row v's prefix of smaller neighbours, which fills in
+// ascending u just as the pass does; so when the pass reaches row u, that
+// prefix is exactly the slots before next[u]. The IDs come from the rows,
+// not from EdgePairs, whose order depends on how the network was built.
+func slotEdges(f *graph.Frozen) []int32 {
+	off, nb := f.CSR()
+	n := int32(f.NumVertices())
+	edgeOf := make([]int32, len(nb))
+	next := append([]int32(nil), off[:n]...)
+	id := int32(0)
+	for u := int32(0); u < n; u++ {
+		for s := next[u]; s < off[u+1]; s++ {
+			v := nb[s]
+			edgeOf[s] = id
+			edgeOf[next[v]] = id
+			next[v]++
+			id++
 		}
 	}
-	return lo // callers only query existing edges
+	return edgeOf
+}
+
+// seedOrder lists the vertices by degree desc, id asc: a stable counting
+// sort on degree, filled in ascending id.
+func seedOrder(f *graph.Frozen) []int32 {
+	n := int32(f.NumVertices())
+	top := f.MaxDegree()
+	// first[k] is the next position for a vertex of degree top-k.
+	first := make([]int32, top+2)
+	for v := int32(0); v < n; v++ {
+		first[top-f.Degree(v)+1]++
+	}
+	for k := 1; k < len(first); k++ {
+		first[k] += first[k-1]
+	}
+	seeds := make([]int32, n)
+	for v := int32(0); v < n; v++ {
+		k := top - f.Degree(v)
+		seeds[first[k]] = v
+		first[k]++
+	}
+	return seeds
 }
 
 // partitionEdges splits the network's edges into BFS-grown regions of at
@@ -83,21 +96,9 @@ func (ix edgeIndex) id(u, v int32) int {
 func partitionEdges(ctx context.Context, f *graph.Frozen, maxEdges int) ([]Region, error) {
 	tr := pipeline.From(ctx)
 	n := int32(f.NumVertices())
-	ix := newEdgeIndex(f)
-	assigned := make([]bool, len(ix))
-
-	// Seed order: degree desc, id asc.
-	seeds := make([]int32, n)
-	for v := int32(0); v < n; v++ {
-		seeds[v] = v
-	}
-	sort.Slice(seeds, func(i, j int) bool {
-		di, dj := f.Degree(seeds[i]), f.Degree(seeds[j])
-		if di != dj {
-			return di > dj
-		}
-		return seeds[i] < seeds[j]
-	})
+	off, nb := f.CSR()
+	edgeOf := slotEdges(f)
+	assigned := make([]bool, f.NumEdges())
 
 	// mark[v] == region ID of the region currently visiting v; -1 never.
 	mark := make([]int32, n)
@@ -107,8 +108,8 @@ func partitionEdges(ctx context.Context, f *graph.Frozen, maxEdges int) ([]Regio
 
 	var regions []Region
 	var queue []int32
-	for _, s := range seeds {
-		for hasUnassigned(f, ix, assigned, s) {
+	for _, s := range seedOrder(f) {
+		for hasUnassigned(edgeOf[off[s]:off[s+1]], assigned) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -122,12 +123,13 @@ func partitionEdges(ctx context.Context, f *graph.Frozen, maxEdges int) ([]Regio
 			for len(queue) > 0 {
 				v := queue[0]
 				queue = queue[1:]
-				for _, w := range f.Neighbors(v) {
-					eid := ix.id(v, w)
+				for slot := off[v]; slot < off[v+1]; slot++ {
+					eid := edgeOf[slot]
 					if assigned[eid] {
 						continue
 					}
 					assigned[eid] = true
+					w := nb[slot]
 					if v <= w {
 						reg.Edges = append(reg.Edges, v, w)
 					} else {
@@ -150,10 +152,10 @@ func partitionEdges(ctx context.Context, f *graph.Frozen, maxEdges int) ([]Regio
 	return regions, nil
 }
 
-// hasUnassigned reports whether any edge incident to s is unassigned.
-func hasUnassigned(f *graph.Frozen, ix edgeIndex, assigned []bool, s int32) bool {
-	for _, w := range f.Neighbors(s) {
-		if !assigned[ix.id(s, w)] {
+// hasUnassigned reports whether any of the edges in ids is unassigned.
+func hasUnassigned(ids []int32, assigned []bool) bool {
+	for _, eid := range ids {
+		if !assigned[eid] {
 			return true
 		}
 	}

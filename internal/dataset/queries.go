@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math/rand"
+	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/subiso"
@@ -125,7 +126,7 @@ func rarestEdge(g *graph.Graph, labelSupport map[string]int) graph.Edge {
 
 // rareConnectedSubgraph grows a connected subgraph of exactly size edges
 // preferring the frontier edge with the lowest global label support at
-// every step (ties broken randomly).
+// every step (ties broken by a seeded draw).
 func rareConnectedSubgraph(g *graph.Graph, size int, labelSupport map[string]int, rng *rand.Rand) *graph.Graph {
 	if size <= 0 || g.NumEdges() < size {
 		return nil
@@ -156,6 +157,14 @@ func rareConnectedSubgraph(g *graph.Graph, size int, labelSupport map[string]int
 		if len(best) == 0 {
 			return nil
 		}
+		// best was collected in map order: sort it (duplicates kept) so
+		// the draw depends on the seed alone.
+		sort.Slice(best, func(i, j int) bool {
+			if best[i].U != best[j].U {
+				return best[i].U < best[j].U
+			}
+			return best[i].V < best[j].V
+		})
 		e := best[rng.Intn(len(best))]
 		inE[e] = true
 		inV[e.U] = true

@@ -134,52 +134,106 @@ func (s Stats) String() string {
 // RandomConnectedSubgraph extracts a connected subgraph of g with exactly
 // size edges via a random edge-growth walk, as used to generate subgraph
 // query workloads (Sec 6.1). It returns nil if g has fewer than size edges
-// or the walk cannot reach the requested size.
+// or the walk cannot reach the requested size. The walk is
+// RandomConnectedEdges on g's frozen snapshot, drawing from its edge
+// pairs, which are g's edges in insertion order.
 func RandomConnectedSubgraph(g *Graph, size int, rng *rand.Rand) *Graph {
-	if size <= 0 || g.NumEdges() < size {
+	f := g.Freeze()
+	pairs := f.RandomConnectedEdges(f.edges, size, rng)
+	if pairs == nil {
 		return nil
 	}
-	return RandomConnectedSubgraphFrom(g, g.Edges()[rng.Intn(g.NumEdges())], size, rng)
-}
-
-// RandomConnectedSubgraphFrom grows a connected subgraph of exactly size
-// edges starting from the given seed edge. Used to bias query workloads
-// toward chosen regions (e.g. rare-label neighborhoods for infrequent
-// query generation). Returns nil when the growth cannot reach size.
-func RandomConnectedSubgraphFrom(g *Graph, start Edge, size int, rng *rand.Rand) *Graph {
-	if size <= 0 || g.NumEdges() < size {
-		return nil
-	}
-	inV := map[VertexID]struct{}{start.U: {}, start.V: {}}
-	inE := map[Edge]struct{}{start: {}}
-	picked := []Edge{start}
-	for len(picked) < size {
-		// Collect frontier edges: incident to the current vertex set and
-		// not yet chosen.
-		var frontier []Edge
-		for v := range inV {
-			for _, w := range g.Neighbors(v) {
-				e := NewEdge(v, w)
-				if _, ok := inE[e]; !ok {
-					frontier = append(frontier, e)
-				}
-			}
-		}
-		if len(frontier) == 0 {
-			return nil
-		}
-		sort.Slice(frontier, func(i, j int) bool {
-			if frontier[i].U != frontier[j].U {
-				return frontier[i].U < frontier[j].U
-			}
-			return frontier[i].V < frontier[j].V
-		})
-		e := frontier[rng.Intn(len(frontier))]
-		inE[e] = struct{}{}
-		inV[e.U] = struct{}{}
-		inV[e.V] = struct{}{}
-		picked = append(picked, e)
+	picked := make([]Edge, len(pairs)/2)
+	for i := range picked {
+		picked[i] = Edge{U: VertexID(pairs[2*i]), V: VertexID(pairs[2*i+1])}
 	}
 	sub, _ := g.EdgeSubgraph(picked)
 	return sub
+}
+
+// RandomConnectedEdges grows a random connected set of exactly size edges
+// of f. edgePairs lists f's m edges in draw order as interleaved canonical
+// (u < v) pairs. The seed edge is pair rng.Intn(m); each later step picks
+// rng.Intn(len) from the sorted multiset of unpicked edges incident to the
+// grown vertex set, where an edge with both endpoints grown counts twice.
+// It returns the picked pairs in pick order, or nil if size is not in
+// [1, m] or the frontier runs out first.
+//
+// The frontier is kept sorted across steps rather than collected and
+// sorted anew: a vertex's row, read as canonical pairs, is already in
+// (u, v) order (neighbours below it give pairs (w, x) ascending in w, then
+// neighbours above it give (x, w)), so a newly grown vertex's row is
+// merged in, and a picked edge's copies, adjacent in the sorted frontier,
+// are cut out. A newly grown vertex has no picked edge but the one that
+// grew it, so that is the only pair its row skips.
+func (f *Frozen) RandomConnectedEdges(edgePairs []int32, size int, rng *rand.Rand) []int32 {
+	m := len(edgePairs) / 2
+	if size <= 0 || m < size {
+		return nil
+	}
+	i := 2 * rng.Intn(m)
+	a, b := edgePairs[i], edgePairs[i+1]
+	picked := make([]int32, 0, 2*size)
+	picked = append(picked, a, b)
+	grown := make([]bool, f.NumVertices())
+	grown[a], grown[b] = true, true
+	seed := edgeKey(a, b)
+	frontier := mergeRow(nil, nil, f.Neighbors(a), a, seed)
+	next := mergeRow(nil, frontier, f.Neighbors(b), b, seed)
+	frontier, next = next, frontier
+	for len(picked) < 2*size {
+		if len(frontier) == 0 {
+			return nil
+		}
+		r := rng.Intn(len(frontier))
+		k := frontier[r]
+		lo, hi := r, r+1
+		for lo > 0 && frontier[lo-1] == k {
+			lo--
+		}
+		for hi < len(frontier) && frontier[hi] == k {
+			hi++
+		}
+		frontier = append(frontier[:lo], frontier[hi:]...)
+		u, v := int32(k>>32), int32(uint32(k))
+		picked = append(picked, u, v)
+		x := u
+		if grown[u] {
+			x = v
+		}
+		if !grown[x] {
+			grown[x] = true
+			next = mergeRow(next, frontier, f.Neighbors(x), x, k)
+			frontier, next = next, frontier
+		}
+	}
+	return picked
+}
+
+// edgeKey packs the canonical pair of {u, v} so that key order is (u, v)
+// order.
+func edgeKey(u, v int32) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(uint32(u))<<32 | uint64(uint32(v))
+}
+
+// mergeRow writes to out the sorted merge of frontier and x's sorted row,
+// read as canonical edge keys, leaving out the key skip.
+func mergeRow(out, frontier []uint64, row []int32, x int32, skip uint64) []uint64 {
+	out = out[:0]
+	j := 0
+	for _, w := range row {
+		k := edgeKey(x, w)
+		if k == skip {
+			continue
+		}
+		for j < len(frontier) && frontier[j] < k {
+			out = append(out, frontier[j])
+			j++
+		}
+		out = append(out, k)
+	}
+	return append(out, frontier[j:]...)
 }

@@ -190,6 +190,11 @@ func (f *Frozen) Neighbors(v int32) []int32 {
 	return f.neighbors[f.offsets[v]:f.offsets[v+1]]
 }
 
+// CSR returns the flat rows: the neighbors of v are the slots
+// offsets[v] to offsets[v+1]-1 of neighbors. Both slices are owned by the
+// Frozen.
+func (f *Frozen) CSR() (offsets, neighbors []int32) { return f.offsets, f.neighbors }
+
 // Degree returns the degree of v.
 func (f *Frozen) Degree(v int32) int32 { return f.offsets[v+1] - f.offsets[v] }
 

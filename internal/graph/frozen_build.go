@@ -17,7 +17,7 @@
 // builder deterministic for the bignet differential suite.
 package graph
 
-import "sort"
+import "slices"
 
 // FrozenBuilder accumulates vertices and undirected edges and emits an
 // immutable Frozen in one pass. Not safe for concurrent use.
@@ -86,7 +86,7 @@ func (b *FrozenBuilder) AddEdge(u, v int32) {
 // u < x, in ascending u) and then the neighbors larger than x (from
 // edges keyed x, in ascending v).
 func (b *FrozenBuilder) Build(id int) *Frozen {
-	sort.Slice(b.edges, func(i, j int) bool { return b.edges[i] < b.edges[j] })
+	slices.Sort(b.edges)
 	// Dedup in place.
 	m := 0
 	for i, e := range b.edges {
