@@ -95,10 +95,6 @@ type CSG = csg.CSG
 // (Config.Degradation).
 type DegradationConfig = resilience.Config
 
-// DegradationWeights splits the overall deadline into per-phase soft
-// budgets (DegradationConfig.Weights).
-type DegradationWeights = resilience.Weights
-
 // Health is the per-stage degradation report attached to Result.Health
 // when degradation is enabled.
 type Health = resilience.Health
@@ -281,8 +277,8 @@ type NetworkRegion = bignet.Region
 type NetworkDecomposition = bignet.Decomposition
 
 // StoredState is the full durable serving state captured in one CSNAP1
-// snapshot: the database, the selected patterns, cluster membership, the
-// gindex persist payload and the Maintainer's retry bookkeeping. Produce
+// snapshot: the database, the selected patterns, cluster membership and
+// the Maintainer's retry bookkeeping. Produce
 // one with Maintainer.SnapshotState, persist with SaveState, recover with
 // LoadState, and resume with NewMaintainerFromState.
 type StoredState = store.State

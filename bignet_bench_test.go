@@ -82,12 +82,15 @@ func TestBignetBenchGate(t *testing.T) {
 		Seed:       42,
 		Network:    catapult.NetworkOptions{Name: cfg.Name},
 	}
-	selectStart := time.Now()
+	start := time.Now()
 	res, err := catapult.SelectNetworkCtx(context.Background(), f, scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	selectTime := time.Since(selectStart)
+	// SelectNetworkCtx decomposes before it selects: the gate binds the
+	// whole path, select_ms reports selection alone.
+	decomposeSelectTime := time.Since(start)
+	selectTime := decomposeSelectTime - res.DecomposeTime
 
 	report := struct {
 		Vertices       int     `json:"vertices"`
@@ -153,8 +156,8 @@ func TestBignetBenchGate(t *testing.T) {
 		if edgesPerSec < bignetGateMinEdgesSec {
 			t.Errorf("load throughput %.0f edges/sec below the %.0f gate", edgesPerSec, bignetGateMinEdgesSec)
 		}
-		if selectTime > bignetGateMaxSelect {
-			t.Errorf("decompose+select %v above the %v gate", selectTime, bignetGateMaxSelect)
+		if decomposeSelectTime > bignetGateMaxSelect {
+			t.Errorf("decompose+select %v above the %v gate", decomposeSelectTime, bignetGateMaxSelect)
 		}
 	}
 }

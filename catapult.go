@@ -121,13 +121,13 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.Budget.Gamma == 0 {
-		c.Budget = core.Budget{EtaMin: 3, EtaMax: 12, Gamma: 30}
-	}
+	c.defaultBudget()
 	if c.Clustering.Strategy == cluster.CoarseOnly && c.Clustering.N == 0 {
-		// Zero value: adopt the paper's recommended hybrid strategy.
+		// Zero value: adopt the paper's recommended hybrid strategy. The
+		// rule keys on N == 0, so it runs before N is defaulted.
 		c.Clustering.Strategy = cluster.HybridMCCS
 	}
+	c.Clustering = c.Clustering.WithDefaults()
 	// Propagate the top-level seed only into sub-seeds that were never
 	// configured: SeedSet distinguishes a deliberate Seed of 0 (keep it)
 	// from the zero value (inherit c.Seed).
@@ -139,6 +139,14 @@ func (c *Config) defaults() {
 	}
 	if c.Network.Seed == 0 && !c.Network.SeedSet {
 		c.Network.Seed = c.Seed
+	}
+}
+
+// defaultBudget gives a Config without a budget the default
+// b = (3, 12, 30).
+func (c *Config) defaultBudget() {
+	if c.Budget.Gamma == 0 {
+		c.Budget = core.Budget{EtaMin: 3, EtaMax: 12, Gamma: 30}
 	}
 }
 
@@ -234,7 +242,7 @@ func SelectCtx(stdctx context.Context, db *graph.DB, cfg Config) (*Result, error
 		if d, ok := stdctx.Deadline(); ok && (hard.IsZero() || d.Before(hard)) {
 			hard = d
 		}
-		ctrl = resilience.NewController(cfg.Degradation, now, hard)
+		ctrl = resilience.NewController(now, hard)
 		ctrl.Observe(pipeline.From(stdctx))
 		stdctx = resilience.WithController(stdctx, ctrl)
 		if !hard.IsZero() {
@@ -414,19 +422,7 @@ func smallestCluster(cs []*cluster.Cluster) int {
 //     cluster carries the effective (pre-sampling) size so cluster
 //     weights still reflect true coverage.
 func clusterWithSampling(stdctx context.Context, db *graph.DB, cfg Config, rng *rand.Rand) ([]*cluster.Cluster, []float64, error) {
-	ccfg := cfg.Clustering
-	if ccfg.N <= 0 {
-		ccfg.N = 20
-	}
-	if ccfg.MinSupport <= 0 {
-		ccfg.MinSupport = 0.1
-	}
-	if ccfg.MaxTreeEdges <= 0 {
-		ccfg.MaxTreeEdges = 3
-	}
-	if ccfg.MaxFeatures == 0 {
-		ccfg.MaxFeatures = 40
-	}
+	ccfg := cfg.Clustering // defaulted by SelectCtx
 
 	// Eager sampling for feature mining.
 	size := sampling.EagerSize(cfg.Sampling.Epsilon, cfg.Sampling.Rho)
@@ -435,12 +431,12 @@ func clusterWithSampling(stdctx context.Context, db *graph.DB, cfg Config, rng *
 		defer done()
 		if size >= db.Len() {
 			mined, err := treemine.MineCtx(stdctx, db, treemine.MineOptions{
-				MinSupport: ccfg.MinSupport, MaxEdges: ccfg.MaxTreeEdges,
+				MinSupport: ccfg.MinSupport, MaxEdges: cluster.MaxTreeEdges,
 			})
 			if err != nil {
 				return nil, err
 			}
-			return treemine.SelectFeatures(mined, ccfg.MaxFeatures), nil
+			return treemine.SelectFeatures(mined, cluster.MaxFeatures), nil
 		}
 		idx := sampling.Eager(db.Len(), size, rng)
 		sampleDB := graph.NewDB(db.Name+"-eager", cloneAll(db.Subset("", idx).Graphs))
@@ -449,7 +445,7 @@ func clusterWithSampling(stdctx context.Context, db *graph.DB, cfg Config, rng *
 			lowFr = ccfg.MinSupport / 2
 		}
 		mined, err := treemine.MineCtx(stdctx, sampleDB, treemine.MineOptions{
-			MinSupport: lowFr, MaxEdges: ccfg.MaxTreeEdges,
+			MinSupport: lowFr, MaxEdges: cluster.MaxTreeEdges,
 		})
 		if err != nil {
 			return nil, err
@@ -458,7 +454,7 @@ func clusterWithSampling(stdctx context.Context, db *graph.DB, cfg Config, rng *
 		if err != nil {
 			return nil, err
 		}
-		return treemine.SelectFeatures(verified, ccfg.MaxFeatures), nil
+		return treemine.SelectFeatures(verified, cluster.MaxFeatures), nil
 	}()
 	if err != nil {
 		return nil, nil, err

@@ -59,8 +59,9 @@ func TestDifferentialDecomposeAcrossWorkers(t *testing.T) {
 }
 
 // TestDifferentialDecomposeRepeatability pins run-to-run determinism for
-// a fixed seed, including through a text round trip of the network (the
-// loader's remap must not perturb the partition).
+// a fixed seed, including through a binary round trip of the network
+// (WriteBinary, then LoadBinaryCtx: the loader must not perturb the
+// partition).
 func TestDifferentialDecomposeRepeatability(t *testing.T) {
 	f := ringFrozen(t, 300)
 	opts := Options{MaxRegionEdges: 53, Reps: 2, Seed: 9, SeedSet: true}

@@ -23,6 +23,14 @@ import (
 	"repro/internal/graph"
 )
 
+// MaxKeyVertices is the size cap above which the memo engines of
+// internal/cover and internal/simcache key a graph by identity instead of
+// by its canonical string. Canonical labeling is comfortable at pattern
+// and dataset scale but not guaranteed cheap on arbitrary hosts; an
+// identity key stays sound and only forgoes sharing between isomorphic
+// graphs.
+const MaxKeyVertices = 48
+
 // String returns the canonical string of g. Equal strings ⇔ isomorphic
 // graphs (for the label-preserving isomorphism of the paper's data model).
 func String(g *graph.Graph) string {

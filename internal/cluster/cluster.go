@@ -65,11 +65,6 @@ type Config struct {
 	// MinSupport is the frequent-subtree support threshold for coarse
 	// features.
 	MinSupport float64
-	// MaxTreeEdges caps mined subtree size.
-	MaxTreeEdges int
-	// MaxFeatures caps the number of subtree features after
-	// facility-location selection (0 = no cap).
-	MaxFeatures int
 	// MCSBudget bounds each MCS/MCCS computation during fine clustering.
 	MCSBudget int
 	// Seed drives k-means++ and fine-clustering seed choices.
@@ -80,22 +75,28 @@ type Config struct {
 	SeedSet bool
 }
 
-func (c *Config) defaults() {
+// Coarse clustering's feature mining: subtrees of at most MaxTreeEdges
+// edges are mined, and facility-location selection keeps at most
+// MaxFeatures of them.
+const (
+	MaxTreeEdges = 3
+	MaxFeatures  = 40
+)
+
+// WithDefaults returns c with every unset field at its default: N = 20
+// (the paper's), MinSupport = 0.1 and MCSBudget = 20000. Strategy and Seed
+// are returned as given.
+func (c Config) WithDefaults() Config {
 	if c.N <= 0 {
 		c.N = 20
 	}
 	if c.MinSupport <= 0 {
 		c.MinSupport = 0.1
 	}
-	if c.MaxTreeEdges <= 0 {
-		c.MaxTreeEdges = 3
-	}
-	if c.MaxFeatures == 0 {
-		c.MaxFeatures = 40
-	}
 	if c.MCSBudget <= 0 {
 		c.MCSBudget = 20000
 	}
+	return c
 }
 
 // Result is the output of small graph clustering.
@@ -113,7 +114,7 @@ type Result struct {
 // StageFine spans to the context's pipeline tracer. On cancellation it
 // returns (nil, ctx.Err()) — no partial clustering.
 func RunCtx(ctx context.Context, db *graph.DB, cfg Config) (*Result, error) {
-	cfg.defaults()
+	cfg = cfg.WithDefaults()
 	coarseRng, fineRng := stageRngs(cfg.Seed)
 	switch cfg.Strategy {
 	case CoarseOnly:
@@ -164,7 +165,7 @@ func stageRngs(seed int64) (coarseRng, fineRng *rand.Rand) {
 // and tracing. Exposed for pipelines that need to intervene between the
 // coarse and fine phases (lazy sampling, Sec 4.3).
 func CoarseCtx(ctx context.Context, db *graph.DB, cfg Config) (*Result, error) {
-	cfg.defaults()
+	cfg = cfg.WithDefaults()
 	rng, _ := stageRngs(cfg.Seed)
 	cs, feats, err := coarse(ctx, db, cfg, rng)
 	if err != nil {
@@ -178,24 +179,18 @@ func CoarseCtx(ctx context.Context, db *graph.DB, cfg Config) (*Result, error) {
 // and tracing: ctx is checked before every split and inside the MCS/MCCS
 // similarity searches.
 func FineCtx(ctx context.Context, db *graph.DB, in []*Cluster, cfg Config) ([]*Cluster, error) {
-	cfg.defaults()
+	cfg = cfg.WithDefaults()
 	_, rng := stageRngs(cfg.Seed)
 	return fine(ctx, db, in, cfg, rng)
 }
 
-// CoarseWithFeatures runs the k-means part of coarse clustering with an
-// externally supplied feature set — the entry point for the eager-sampling
-// pipeline (Sec 4.3), where frequent subtrees are mined on a sample but
-// every graph of the full database is clustered.
-func CoarseWithFeatures(db *graph.DB, features []*treemine.FrequentTree, cfg Config) []*Cluster {
-	cs, _ := CoarseWithFeaturesCtx(context.Background(), db, features, cfg)
-	return cs
-}
-
-// CoarseWithFeaturesCtx is CoarseWithFeatures with cooperative cancellation
-// and tracing (StageCoarse).
+// CoarseWithFeaturesCtx runs the k-means part of coarse clustering with
+// an externally supplied feature set — the entry point for the
+// eager-sampling pipeline (Sec 4.3), where frequent subtrees are mined on a
+// sample but every graph of the full database is clustered — with
+// cooperative cancellation and tracing (StageCoarse).
 func CoarseWithFeaturesCtx(ctx context.Context, db *graph.DB, features []*treemine.FrequentTree, cfg Config) ([]*Cluster, error) {
-	cfg.defaults()
+	cfg = cfg.WithDefaults()
 	ctx, done := pipeline.Scope(ctx, pipeline.StageCoarse)
 	defer done()
 	rng, _ := stageRngs(cfg.Seed)
@@ -245,14 +240,12 @@ func allIndices(n int) []int {
 	return s
 }
 
-// Chunks partitions [0, n) into contiguous clusters of at most size members
-// (paper default 20 when size <= 0). It is the degradation fallback when
-// coarse clustering cannot finish within budget: structure-blind but valid,
-// so CSG construction and pattern selection can still run.
+// Chunks partitions [0, n) into contiguous clusters of at most size members;
+// size is a defaulted N (see Config.WithDefaults), so it is positive. It is
+// the degradation fallback when coarse clustering cannot finish within
+// budget: structure-blind but valid, so CSG construction and pattern
+// selection can still run.
 func Chunks(n, size int) []*Cluster {
-	if size <= 0 {
-		size = 20
-	}
 	var out []*Cluster
 	for lo := 0; lo < n; lo += size {
 		hi := lo + size
@@ -303,12 +296,12 @@ func coarseImpl(ctx context.Context, db *graph.DB, cfg Config, rng *rand.Rand) (
 	defer done()
 	all, err := treemine.MineCtx(ctx, db, treemine.MineOptions{
 		MinSupport: cfg.MinSupport,
-		MaxEdges:   cfg.MaxTreeEdges,
+		MaxEdges:   MaxTreeEdges,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	sel := treemine.SelectFeatures(all, cfg.MaxFeatures)
+	sel := treemine.SelectFeatures(all, MaxFeatures)
 	if len(sel) == 0 {
 		// No frequent structure at all: a single cluster.
 		return []*Cluster{{Members: allIndices(db.Len())}}, nil, nil

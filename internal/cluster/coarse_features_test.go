@@ -4,8 +4,20 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/treemine"
 )
+
+// coarseWithFeaturesT runs CoarseWithFeaturesCtx uncancelled, failing t
+// on error.
+func coarseWithFeaturesT(t *testing.T, db *graph.DB, features []*treemine.FrequentTree, cfg Config) []*Cluster {
+	t.Helper()
+	cs, err := CoarseWithFeaturesCtx(context.Background(), db, features, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
+}
 
 func TestCoarseWithFeaturesPartition(t *testing.T) {
 	db := clusteredDB(8)
@@ -17,7 +29,7 @@ func TestCoarseWithFeaturesPartition(t *testing.T) {
 		t.Fatal("no features mined")
 	}
 	sel := treemine.SelectFeatures(mined, 10)
-	cs := CoarseWithFeatures(db, sel, Config{N: 6, Seed: 3})
+	cs := coarseWithFeaturesT(t, db, sel, Config{N: 6, Seed: 3})
 	seen := make([]bool, db.Len())
 	for _, c := range cs {
 		for _, m := range c.Members {
@@ -41,7 +53,7 @@ func TestCoarseWithFeaturesSeparatesFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := treemine.SelectFeatures(mined, 10)
-	cs := CoarseWithFeatures(db, sel, Config{N: 10, Seed: 5})
+	cs := coarseWithFeaturesT(t, db, sel, Config{N: 10, Seed: 5})
 	// Ring graphs (indices < 10) and star graphs share no subtree
 	// features, so no cluster should mix them.
 	for _, c := range cs {
@@ -61,7 +73,7 @@ func TestCoarseWithFeaturesSeparatesFamilies(t *testing.T) {
 
 func TestCoarseWithFeaturesEmptyFeatures(t *testing.T) {
 	db := clusteredDB(3)
-	cs := CoarseWithFeatures(db, nil, Config{N: 4, Seed: 1})
+	cs := coarseWithFeaturesT(t, db, nil, Config{N: 4, Seed: 1})
 	if len(cs) != 1 || cs[0].Len() != db.Len() {
 		t.Errorf("no features should yield one catch-all cluster, got %d clusters", len(cs))
 	}
@@ -77,7 +89,7 @@ func TestCoarseWithFeaturesMatchesRunCoarse(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := treemine.SelectFeatures(mined, 40)
-	direct := CoarseWithFeatures(db, sel, Config{N: 5, MinSupport: 0.3, Seed: 9})
+	direct := coarseWithFeaturesT(t, db, sel, Config{N: 5, MinSupport: 0.3, Seed: 9})
 	if len(direct) == 0 || len(viaRun.Clusters) == 0 {
 		t.Fatal("empty clustering")
 	}

@@ -99,61 +99,6 @@ func KMeans(vecs []Vector, k int, rng *rand.Rand, maxIter int) []int {
 	return assign
 }
 
-// Silhouette computes the mean silhouette coefficient of a clustering over
-// the given vectors: for each point, (b - a) / max(a, b) where a is the
-// mean distance to its own cluster and b the smallest mean distance to
-// another cluster. Values near 1 indicate tight, well-separated clusters.
-// Points in singleton clusters contribute 0, following the usual
-// convention. Returns 0 when fewer than 2 clusters exist.
-func Silhouette(vecs []Vector, assign []int) float64 {
-	n := len(vecs)
-	if n == 0 || len(assign) != n {
-		return 0
-	}
-	clusters := map[int][]int{}
-	for i, c := range assign {
-		clusters[c] = append(clusters[c], i)
-	}
-	if len(clusters) < 2 {
-		return 0
-	}
-	dist := func(i, j int) float64 {
-		return math.Sqrt(sqDist(vecs[i], vecs[j]))
-	}
-	total := 0.0
-	for i := 0; i < n; i++ {
-		own := clusters[assign[i]]
-		if len(own) <= 1 {
-			continue // silhouette of a singleton is 0
-		}
-		a := 0.0
-		for _, j := range own {
-			if j != i {
-				a += dist(i, j)
-			}
-		}
-		a /= float64(len(own) - 1)
-		b := math.Inf(1)
-		for c, members := range clusters {
-			if c == assign[i] {
-				continue
-			}
-			m := 0.0
-			for _, j := range members {
-				m += dist(i, j)
-			}
-			m /= float64(len(members))
-			if m < b {
-				b = m
-			}
-		}
-		if max := math.Max(a, b); max > 0 {
-			total += (b - a) / max
-		}
-	}
-	return total / float64(n)
-}
-
 // seedPlusPlus picks k initial centers with the k-means++ D² weighting
 // (Arthur & Vassilvitskii 2007).
 func seedPlusPlus(vecs []Vector, k int, rng *rand.Rand) []Vector {

@@ -81,19 +81,6 @@ type Options struct {
 	// iteration VF2 cost on large clusterings; 0 proposes from all CSGs.
 	TopCSGs int
 
-	// Ablation switches (not part of the paper's algorithm; used by the
-	// ablation benches to quantify each design choice's contribution).
-
-	// DisableDiversity drops the div term from the pattern score.
-	DisableDiversity bool
-	// DisableCognitiveLoad drops the 1/cog term from the pattern score.
-	DisableCognitiveLoad bool
-	// BFSCandidates replaces the weighted-random-walk candidate generator
-	// with the deterministic greedy-BFS generation of the paper's
-	// predecessor DaVinci [40]: grow from the seed edge, always taking the
-	// heaviest adjacent edge.
-	BFSCandidates bool
-
 	// QueryLog, when non-empty, enables the paper's sketched extension
 	// (Sec 3.3 remark): the pattern score is additionally multiplied by
 	// 1 + qfreq(p), where qfreq is the fraction of logged queries that
@@ -220,7 +207,7 @@ func (sc *Context) coverEngine() *cover.Engine {
 		for i, c := range sc.CSGs {
 			hosts[i] = c.G
 		}
-		sc.coverEng = cover.New(hosts, cover.Options{})
+		sc.coverEng = cover.New(hosts)
 	})
 	return sc.coverEng
 }
@@ -231,7 +218,7 @@ func (sc *Context) queryLogEngine(log []*graph.Graph) *cover.Engine {
 	sc.qlogMu.Lock()
 	defer sc.qlogMu.Unlock()
 	if sc.qlogEng == nil || !sameGraphs(sc.qlog, log) {
-		sc.qlogEng = cover.New(log, cover.Options{})
+		sc.qlogEng = cover.New(log)
 		sc.qlog = log
 	}
 	return sc.qlogEng

@@ -136,7 +136,10 @@ func TestGenerateFCPConnectedAndSized(t *testing.T) {
 	ctx := NewContext(db, csgs)
 	rng := rand.New(rand.NewSource(1))
 	for eta := 3; eta <= 5; eta++ {
-		p := ctx.GenerateFCP(csgs[0], eta, 30, rng)
+		p, err := ctx.GenerateFCPCtx(context.Background(), csgs[0], eta, 30, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if p == nil {
 			t.Fatalf("no FCP of size %d from ring CSG", eta)
 		}
@@ -155,7 +158,7 @@ func TestGenerateFCPOversizeReturnsNil(t *testing.T) {
 	c, _ := csg.BuildCtx(context.Background(), db, []int{0})
 	ctx := NewContext(db, []*csg.CSG{c})
 	rng := rand.New(rand.NewSource(2))
-	if p := ctx.GenerateFCP(c, 5, 10, rng); p != nil {
+	if p, err := ctx.GenerateFCPCtx(context.Background(), c, 5, 10, rng); err != nil || p != nil {
 		t.Errorf("FCP larger than CSG should be nil, got %v", p)
 	}
 }
@@ -222,6 +225,18 @@ func TestScorePatternDuplicateScoresZero(t *testing.T) {
 	score, _, _, div, _ := ctx.ScorePattern(p.Clone(), []*graph.Graph{p})
 	if div != 0 || score != 0 {
 		t.Errorf("duplicate pattern score = %v (div %v), want 0", score, div)
+	}
+}
+
+func TestScoreWithMatchesScorePattern(t *testing.T) {
+	db, csgs := testSetup()
+	ctx := NewContext(db, csgs)
+	p := pathGraph("C", "C", "C", "C")
+	other := pathGraph("N", "C", "O")
+	s1, c1, l1, d1, g1 := ctx.ScorePattern(p, []*graph.Graph{other})
+	s2, c2, l2, d2, g2 := ctx.scoreWith(p, []*graph.Graph{other}, Options{})
+	if !closeF(s1, s2) || c1 != c2 || l1 != l2 || d1 != d2 || g1 != g2 {
+		t.Errorf("scoreWith with zero options diverges from ScorePattern: %v vs %v", s1, s2)
 	}
 }
 

@@ -84,10 +84,8 @@ func (ctx *Context) ScorePattern(p *graph.Graph, selected []*graph.Graph) (score
 	return score, ccov, lcov, div, cog
 }
 
-// scoreWith computes the pattern score under ablation options: the div
-// and 1/cog factors can be individually disabled. Candidate/selected
-// duplicate exclusion is handled by the caller, so a disabled diversity
-// term cannot re-admit duplicates.
+// scoreWith computes the pattern score under the selection options, which
+// add the query-log factor to Eq 2 when a log is given.
 func (ctx *Context) scoreWith(p *graph.Graph, selected []*graph.Graph, opts Options) (score, ccov, lcov, div, cog float64) {
 	score, ccov, lcov, div, cog, _ = ctx.scoreWithCtx(context.Background(), p, selected, opts)
 	return score, ccov, lcov, div, cog
@@ -101,7 +99,7 @@ func (sc *Context) scoreWithCtx(stdctx context.Context, p *graph.Graph, selected
 		return 0, 0, 0, 0, 0, err
 	}
 	div = 1
-	if !opts.DisableDiversity && len(selected) > 0 {
+	if len(selected) > 0 {
 		d, _, derr := ged.MinDistanceCtx(stdctx, p, selected)
 		if derr != nil {
 			return 0, 0, 0, 0, 0, derr
@@ -115,8 +113,8 @@ func (sc *Context) scoreWithCtx(stdctx context.Context, p *graph.Graph, selected
 type terms struct {
 	ccov, lcov, cog float64
 	qf              float64 // query-log frequency; 0 without a log
-	// zero marks cog == 0 under the 1/cog term: the score is 0 whatever
-	// the diversity, and the query log is not consulted.
+	// zero marks cog == 0: the score is 0 whatever the diversity, and the
+	// query log is not consulted.
 	zero bool
 }
 
@@ -130,7 +128,7 @@ func (sc *Context) termsCtx(stdctx context.Context, p *graph.Graph, opts Options
 		return terms{}, err
 	}
 	t := terms{ccov: ccov, lcov: sc.LCov(p), cog: p.CognitiveLoad()}
-	if !opts.DisableCognitiveLoad && t.cog == 0 {
+	if t.cog == 0 {
 		t.zero = true
 		return t, nil
 	}
@@ -142,20 +140,17 @@ func (sc *Context) termsCtx(stdctx context.Context, p *graph.Graph, opts Options
 	return t, nil
 }
 
-// score is Eq 2 for the given diversity value, under the ablation and
-// query-log options. Its float operations run in one fixed order, so for
-// the same terms a larger div never gives a smaller score: IEEE rounding
-// is monotone and every factor is non-negative. Bound-ordered selection
-// relies on this to bound a score from above by scoring an upper bound of
-// div.
+// score is Eq 2 for the given diversity value, under the query-log
+// option. Its float operations run in one fixed order (ccov·lcov·div, then
+// /cog, then ×(1+qf) with a query log), so for the same terms a larger div
+// never gives a smaller score: IEEE rounding is monotone and every factor
+// is non-negative. Bound-ordered selection relies on this to bound a score
+// from above by scoring an upper bound of div.
 func (t terms) score(div float64, opts Options) float64 {
 	if t.zero {
 		return 0
 	}
-	score := t.ccov * t.lcov * div
-	if !opts.DisableCognitiveLoad {
-		score /= t.cog
-	}
+	score := t.ccov * t.lcov * div / t.cog
 	if len(opts.QueryLog) > 0 {
 		score *= 1 + t.qf
 	}
@@ -230,7 +225,7 @@ func ScovCtx(stdctx context.Context, db *graph.DB, patterns []*graph.Graph) (flo
 	if db.Len() == 0 {
 		return 0, nil
 	}
-	eng := cover.New(db.Graphs, cover.Options{})
+	eng := cover.New(db.Graphs)
 	covered := bitset.New(db.Len())
 	for _, p := range patterns {
 		verdicts, err := eng.Verdicts(stdctx, p)

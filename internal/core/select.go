@@ -105,9 +105,8 @@ func selectWith(stdctx context.Context, ctx *Context, b Budget, opts Options, pi
 				return
 			}
 
-			// Candidate generation: each (CSG, size) proposes one candidate
-			// (the random-walk FCP of Algorithm 4, or the greedy-BFS candidate
-			// under the DaVinci ablation). Candidates isomorphic to an
+			// Candidate generation: each (CSG, size) proposes one candidate,
+			// the random-walk FCP of Algorithm 4. Candidates isomorphic to an
 			// earlier candidate or to an already-selected pattern are dropped
 			// via canonical forms.
 			var cands []candidate
@@ -115,16 +114,10 @@ func selectWith(stdctx context.Context, ctx *Context, b Budget, opts Options, pi
 			for _, ci := range ctx.proposingCSGs(opts.TopCSGs) {
 				walks.build(ctx, ctx.CSGs[ci])
 				for _, eta := range sizes {
-					var p *graph.Graph
-					if opts.BFSCandidates {
-						p = walks.bfsCandidate(eta)
-					} else {
-						var err error
-						p, err = walks.fcp(rctx, eta, opts.Walks, rng)
-						if err != nil {
-							roundErr = err
-							return
-						}
+					p, err := walks.fcp(rctx, eta, opts.Walks, rng)
+					if err != nil {
+						roundErr = err
+						return
 					}
 					if p == nil {
 						continue
@@ -215,7 +208,7 @@ type candidate struct {
 // all candidates in proposal order; only the skipped GED searches are
 // saved, counted as CounterSelectBoundSkipped.
 func (sc *Context) bestCandidate(stdctx context.Context, cands []candidate, selected []*graph.Graph, opts Options) (*Pattern, error) {
-	needDiv := !opts.DisableDiversity && len(selected) > 0
+	needDiv := len(selected) > 0
 	order := make([]int, len(cands))
 	for i := range cands {
 		c := &cands[i]

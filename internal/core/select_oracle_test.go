@@ -158,8 +158,6 @@ func oracleInputs(t *testing.T) []oracleInput {
 		opts Options
 	}{
 		{"query log", Options{Walks: 8, Seed: 5, QueryLog: diffPatterns(db, 6, rand.New(rand.NewSource(5^0x5eed)))}},
-		{"no diversity", Options{Walks: 8, Seed: 5, DisableDiversity: true}},
-		{"no cognitive load", Options{Walks: 8, Seed: 5, DisableCognitiveLoad: true}},
 		{"top CSGs", Options{Walks: 8, Seed: 5, TopCSGs: 2}},
 	}
 	for _, v := range variants {
@@ -230,9 +228,6 @@ func TestDifferentialBoundOrderedSelect(t *testing.T) {
 			t.Errorf("%s: bound-ordered scoring made %d GED computations, exhaustive %d", in.name, g, w)
 		}
 		skippedTotal += grec.Total(pipeline.CounterSelectBoundSkipped)
-		if in.opts.DisableDiversity && grec.Total(pipeline.CounterSelectBoundSkipped) != 0 {
-			t.Errorf("%s: bound skips counted without a diversity term", in.name)
-		}
 	}
 	if skippedTotal == 0 {
 		t.Error("the bound skipped no exact min-GED on any input")

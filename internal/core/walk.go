@@ -279,56 +279,16 @@ func (w *walkIndex) fcp(stdctx context.Context, eta, walks int, rng *rand.Rand) 
 	return w.subgraph(eta), nil
 }
 
-// bfsCandidate is the DaVinci-style ablation generator [40]: a
-// deterministic greedy growth from the seed edge that always adds the
-// heaviest candidate adjacent edge, the lowest-numbered on ties.
-func (w *walkIndex) bfsCandidate(eta int) *graph.Graph {
-	if w.seed < 0 {
-		return nil
-	}
-	defer w.reset()
-	w.add(w.seed)
-	for len(w.pat) < eta && len(w.front) > 0 {
-		best := w.front[0]
-		for _, e := range w.front[1:] {
-			if w.weights[e] > w.weights[best] {
-				best = e
-			}
-		}
-		w.add(best)
-	}
-	return w.subgraph(eta)
-}
-
-// GenerateFCP derives the final candidate pattern of a CSG for one size:
-// Walks random walks populate the PCP library, then the FCP is grown from
-// the library's most frequent edge, at each step appending the most
+// GenerateFCPCtx derives the final candidate pattern of a CSG for one
+// size: Walks random walks populate the PCP library, then the FCP is grown
+// from the library's most frequent edge, at each step appending the most
 // frequent library edge connected to the partial FCP (Sec 5, Fig 6). The
 // returned edge set is materialized as a pattern graph; nil when the CSG
-// cannot produce a connected pattern of exactly eta edges.
-func (ctx *Context) GenerateFCP(c *csg.CSG, eta, walks int, rng *rand.Rand) *graph.Graph {
-	// context.Background is never cancelled, so GenerateFCPCtx cannot fail.
-	p, _ := ctx.GenerateFCPCtx(context.Background(), c, eta, walks, rng)
-	return p
-}
-
-// GenerateFCPCtx is GenerateFCP with cooperative cancellation (checked
-// between walks) and tracing: every walk is counted as CounterWalks on the
-// context's pipeline tracer. Cancellation checks consume no randomness, so
-// an uncancelled run is bit-identical to GenerateFCP.
+// cannot produce a connected pattern of exactly eta edges. Cancellation is
+// checked between walks and consumes no randomness, and every walk is
+// counted as CounterWalks on the context's pipeline tracer.
 func (sc *Context) GenerateFCPCtx(stdctx context.Context, c *csg.CSG, eta, walks int, rng *rand.Rand) (*graph.Graph, error) {
 	var w walkIndex
 	w.build(sc, c)
 	return w.fcp(stdctx, eta, walks, rng)
-}
-
-// GenerateBFSCandidate is the DaVinci-style ablation generator [40]: a
-// deterministic greedy growth from the seed edge that always adds the
-// heaviest candidate adjacent edge. Compared to the random-walk FCP it
-// explores no alternative regions of the CSG, which the ablation bench
-// shows costs pattern diversity.
-func (ctx *Context) GenerateBFSCandidate(c *csg.CSG, eta int) *graph.Graph {
-	var w walkIndex
-	w.build(ctx, c)
-	return w.bfsCandidate(eta)
 }

@@ -182,40 +182,6 @@ func (sc *Context) legacyGenerateFCP(stdctx context.Context, c *csg.CSG, eta, wa
 	return p, nil
 }
 
-// legacyBFSCandidate is the map-based greedy-BFS ablation generator the
-// walk index replaced.
-func (ctx *Context) legacyBFSCandidate(c *csg.CSG, eta int) *graph.Graph {
-	weights := ctx.EdgeWeights(c)
-	seed, ok := maxWeightEdge(weights)
-	if !ok {
-		return nil
-	}
-	in := map[graph.Edge]bool{seed: true}
-	vs := map[graph.VertexID]bool{seed.U: true, seed.V: true}
-	out := []graph.Edge{seed}
-	for len(out) < eta {
-		caes := adjacentEdges(c, weights, in, vs)
-		if len(caes) == 0 {
-			break
-		}
-		best := caes[0]
-		for _, e := range caes[1:] {
-			if weights[e] > weights[best] {
-				best = e
-			}
-		}
-		in[best] = true
-		vs[best.U] = true
-		vs[best.V] = true
-		out = append(out, best)
-	}
-	if len(out) != eta {
-		return nil
-	}
-	p, _ := c.G.EdgeSubgraph(out)
-	return p
-}
-
 // walkOracleContexts returns selection contexts whose CSGs the walk
 // differential runs on: random chunked clusterings, a clustered network
 // summary with larger closures, and copies whose edge label weights were
@@ -261,9 +227,9 @@ func sameGraph(a, b *graph.Graph) bool {
 }
 
 // TestDifferentialWalks checks the walk index against the map-based
-// generation it replaced: the same PCP edge sequences, FCPs and greedy-BFS
-// candidates, with the random source left in the same state. FCPs are
-// also drawn from one index reused across sizes, as selection does.
+// generation it replaced: the same PCP edge sequences and FCPs, with the
+// random source left in the same state. FCPs are also drawn from one index
+// reused across sizes, as selection does.
 func TestDifferentialWalks(t *testing.T) {
 	for ci, sc := range walkOracleContexts(t) {
 		var shared walkIndex
@@ -301,14 +267,6 @@ func TestDifferentialWalks(t *testing.T) {
 				}
 				if a, b, c := ra.Int63(), rb.Int63(), rc.Int63(); a != b || a != c {
 					t.Fatalf("%s: random source diverged after FCP generation", label("FCP"))
-				}
-
-				wantBFS := sc.legacyBFSCandidate(c, eta)
-				if got := sc.GenerateBFSCandidate(c, eta); !sameGraph(got, wantBFS) {
-					t.Fatalf("%s: BFS candidate = %v, want %v", label("BFS"), got, wantBFS)
-				}
-				if got := shared.bfsCandidate(eta); !sameGraph(got, wantBFS) {
-					t.Fatalf("%s: BFS candidate from the reused index = %v, want %v", label("BFS"), got, wantBFS)
 				}
 			}
 		}

@@ -21,7 +21,7 @@ import (
 func TestConcurrentVerdictsHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	hosts := dataset.AIDSLike(12, 21).Graphs
-	e := New(hosts, Options{})
+	e := New(hosts)
 	pool := randomPatterns(hosts, 30, rng)
 
 	// Precompute the naive oracle per pattern.
@@ -117,7 +117,7 @@ func (c *cancelOnVF2) Add(ctr pipeline.Counter, _ int64) {
 
 func TestCancelMidBatchNoLeak(t *testing.T) {
 	hosts := []*graph.Graph{gridGraph(5, 5), gridGraph(5, 6), gridGraph(6, 6), gridGraph(6, 7)}
-	e := New(hosts, Options{})
+	e := New(hosts)
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -39,25 +39,6 @@ import (
 	"repro/internal/subiso"
 )
 
-// DefaultMaxCanonVertices is the default size cap above which a graph is
-// keyed by identity instead of by canonical form. Canonical labeling is
-// individualization-refinement search, comfortable for pattern-scale graphs
-// but potentially expensive on large hosts; an identity key stays sound
-// (it only forgoes verdict sharing between isomorphic hosts).
-const DefaultMaxCanonVertices = 48
-
-// Options configures an Engine.
-type Options struct {
-	// MaxPathLen caps the indexed path length in edges
-	// (default gindex.DefaultMaxPathLen).
-	MaxPathLen int
-	// MaxCanonVertices caps the graph size for canonical-form keys
-	// (default DefaultMaxCanonVertices). Larger hosts get identity keys;
-	// larger patterns bypass the memo entirely (pruning and parallel
-	// verification still apply).
-	MaxCanonVertices int
-}
-
 // Stats is a snapshot of engine activity.
 type Stats struct {
 	// Hits counts verdicts served from the memo cache.
@@ -74,10 +55,9 @@ type Stats struct {
 // Engine evaluates containment of patterns against a fixed host set.
 // It is safe for concurrent use.
 type Engine struct {
-	hosts     []*graph.Graph
-	hostKeys  []string
-	idx       *gindex.Index
-	maxCanonV int
+	hosts    []*graph.Graph
+	hostKeys []string
+	idx      *gindex.Index
 
 	mu   sync.RWMutex
 	memo map[pairKey]bool
@@ -90,24 +70,20 @@ type Engine struct {
 type pairKey struct{ host, pattern string }
 
 // New builds an engine over the given hosts. The host slice is copied; the
-// host graphs themselves must not be mutated afterwards.
-func New(hosts []*graph.Graph, opts Options) *Engine {
-	maxCanonV := opts.MaxCanonVertices
-	if maxCanonV <= 0 {
-		maxCanonV = DefaultMaxCanonVertices
-	}
+// host graphs themselves must not be mutated afterwards. Hosts above
+// canon.MaxKeyVertices get identity keys, and patterns above it bypass the
+// memo entirely (pruning and parallel verification still apply).
+func New(hosts []*graph.Graph) *Engine {
 	e := &Engine{
-		hosts:     append([]*graph.Graph(nil), hosts...),
-		hostKeys:  make([]string, len(hosts)),
-		maxCanonV: maxCanonV,
-		memo:      make(map[pairKey]bool),
+		hosts:    append([]*graph.Graph(nil), hosts...),
+		hostKeys: make([]string, len(hosts)),
+		memo:     make(map[pairKey]bool),
 	}
 	// The DB literal shares the host graphs without reassigning their IDs
 	// (graph.NewDB would clobber g.ID, which String() and exporters use).
-	e.idx = gindex.Build(&graph.DB{Name: "cover-hosts", Graphs: e.hosts},
-		gindex.Options{MaxPathLen: opts.MaxPathLen})
+	e.idx = gindex.Build(&graph.DB{Name: "cover-hosts", Graphs: e.hosts}, gindex.Options{})
 	for i, h := range e.hosts {
-		if h.NumVertices() <= maxCanonV {
+		if h.NumVertices() <= canon.MaxKeyVertices {
 			e.hostKeys[i] = canon.String(h)
 		} else {
 			// Identity key: unambiguous (canonical strings of non-empty
@@ -159,7 +135,7 @@ func (e *Engine) Verdicts(stdctx context.Context, p *graph.Graph) ([]bool, error
 	prunedN := int64(len(e.hosts) - len(cands))
 
 	var patKey string
-	useMemo := p.NumVertices() <= e.maxCanonV
+	useMemo := p.NumVertices() <= canon.MaxKeyVertices
 	if useMemo {
 		patKey = canon.String(p)
 	}

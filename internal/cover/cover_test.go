@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/pipeline"
@@ -37,7 +39,7 @@ func randomPatterns(hosts []*graph.Graph, n int, rng *rand.Rand) []*graph.Graph 
 func TestVerdictsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	hosts := dataset.AIDSLike(25, 11).Graphs
-	e := New(hosts, Options{})
+	e := New(hosts)
 	for _, p := range randomPatterns(hosts, 40, rng) {
 		got, err := e.Verdicts(context.Background(), p)
 		if err != nil {
@@ -61,7 +63,7 @@ func TestVerdictsMatchNaive(t *testing.T) {
 func TestVerdictsMemoHitsOnRepeat(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	hosts := dataset.AIDSLike(10, 5).Graphs
-	e := New(hosts, Options{})
+	e := New(hosts)
 	p := randomPatterns(hosts, 1, rng)[0]
 	first, err := e.Verdicts(context.Background(), p)
 	if err != nil {
@@ -108,7 +110,7 @@ func permuted(p *graph.Graph, rng *rand.Rand) *graph.Graph {
 
 func TestPrunedPairsReported(t *testing.T) {
 	hosts := dataset.AIDSLike(20, 3).Graphs
-	e := New(hosts, Options{})
+	e := New(hosts)
 	// A pattern with a label path absent from every molecule-like host.
 	p := graph.New(2, 1)
 	a := p.AddVertex("Xx")
@@ -139,14 +141,14 @@ func TestPrunedPairsReported(t *testing.T) {
 }
 
 func TestEmptyHostsAndEmptyPattern(t *testing.T) {
-	e := New(nil, Options{})
+	e := New(nil)
 	v, err := e.Verdicts(context.Background(), graph.New(0, 0))
 	if err != nil || len(v) != 0 {
 		t.Fatalf("empty engine: verdicts=%v err=%v", v, err)
 	}
 
 	hosts := dataset.EMolLike(5, 2).Graphs
-	e = New(hosts, Options{})
+	e = New(hosts)
 	// The empty pattern embeds trivially into every host.
 	v, err = e.Verdicts(context.Background(), graph.New(0, 0))
 	if err != nil {
@@ -159,26 +161,39 @@ func TestEmptyHostsAndEmptyPattern(t *testing.T) {
 	}
 }
 
+// labeledPath returns a path of n vertices labeled C, N, O, C, N, O, ...
+func labeledPath(n int) *graph.Graph {
+	labels := []string{"C", "N", "O"}
+	g := graph.New(n, n-1)
+	for i := 0; i < n; i++ {
+		g.AddVertex(labels[i%len(labels)])
+		if i > 0 {
+			g.MustAddEdge(graph.VertexID(i-1), graph.VertexID(i))
+		}
+	}
+	return g
+}
+
+// TestOversizePatternBypassesMemo: a pattern above canon.MaxKeyVertices is
+// verified afresh on every call, against a host that is itself above the
+// cap and so keyed by identity.
 func TestOversizePatternBypassesMemo(t *testing.T) {
-	hosts := dataset.AIDSLike(6, 9).Graphs
-	e := New(hosts, Options{MaxCanonVertices: 4})
-	rng := rand.New(rand.NewSource(1))
-	p := randomPatterns(hosts, 1, rng)[0] // ≥ 3 edges, > 4 vertices possible
-	for p.NumVertices() <= 4 {
-		p = randomPatterns(hosts, 1, rng)[0]
+	e := New([]*graph.Graph{labeledPath(canon.MaxKeyVertices + 12)})
+	if !strings.HasPrefix(e.hostKeys[0], "id:") {
+		t.Fatalf("oversize host keyed %.20q, want an identity key", e.hostKeys[0])
 	}
-	if _, err := e.Verdicts(context.Background(), p); err != nil {
-		t.Fatal(err)
-	}
-	first := e.Stats().VF2Calls
-	if first == 0 {
-		t.Skip("pattern fully pruned; nothing to verify")
-	}
-	if _, err := e.Verdicts(context.Background(), p); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Stats().VF2Calls; got != 2*first {
-		t.Errorf("oversize pattern was memoized: VF2 calls %d, want %d", got, 2*first)
+	p := labeledPath(canon.MaxKeyVertices + 1)
+	for call := int64(1); call <= 2; call++ {
+		v, err := e.Verdicts(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v[0] {
+			t.Fatal("a path was not found in a longer path with the same label cycle")
+		}
+		if got := e.Stats().VF2Calls; got != call {
+			t.Errorf("after call %d: VF2 calls %d, want %d (oversize pattern memoized)", call, got, call)
+		}
 	}
 	if e.Stats().Hits != 0 {
 		t.Errorf("oversize pattern produced %d cache hits", e.Stats().Hits)
@@ -187,7 +202,7 @@ func TestOversizePatternBypassesMemo(t *testing.T) {
 
 func TestAlreadyCancelled(t *testing.T) {
 	hosts := dataset.AIDSLike(5, 4).Graphs
-	e := New(hosts, Options{})
+	e := New(hosts)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.Verdicts(ctx, hosts[0]); !errors.Is(err, context.Canceled) {

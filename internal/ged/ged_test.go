@@ -346,11 +346,14 @@ func TestGEDOutcomeCountersSumToCalls(t *testing.T) {
 	rec := pipeline.NewRecorder()
 	ctx := pipeline.WithTrace(context.Background(), rec)
 	now := time.Now()
-	ctrl := resilience.NewController(resilience.Config{GEDApproxFraction: 1e-9}, now, now.Add(time.Hour))
+	ctrl := resilience.NewController(now, now.Add(20*time.Millisecond))
 	ctrl.Observe(rec)
 	ctrl.BeginPhase(pipeline.StageSelect)
 	degraded := resilience.WithController(ctx, ctrl)
-	time.Sleep(time.Millisecond) // past the downgrade point
+	// The downgrade starts halfway through the select budget; waiting out
+	// the whole budget puts every later call past it.
+	dl, _ := ctrl.PhaseDeadline()
+	time.Sleep(time.Until(dl))
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 120; i++ {
 		p, _ := randomLabeledPair(rng, 4+i%9)
@@ -369,7 +372,7 @@ func TestGEDOutcomeCountersSumToCalls(t *testing.T) {
 	calls := rec.Total(pipeline.CounterGEDCalls)
 	parts := map[pipeline.Counter]int64{}
 	for _, c := range []pipeline.Counter{pipeline.CounterGEDExact, pipeline.CounterGEDBudgetExhausted,
-		pipeline.CounterGEDSizeLimit, resilience.DegradeCounterPrefix + "ged_approx"} {
+		pipeline.CounterGEDSizeLimit, pipeline.DegradeCounterPrefix + "ged_approx"} {
 		parts[c] = rec.Total(c)
 	}
 	sum := int64(0)

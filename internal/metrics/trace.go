@@ -26,12 +26,6 @@ const (
 	LabelReason  = "reason"
 )
 
-// DegradePrefix marks pipeline counters that carry resilience degradation
-// events (emitted by internal/resilience on the context tracer). Trace
-// strips the prefix and files them under MetricDegradation{reason=...}
-// instead of the generic pipeline-event family.
-const DegradePrefix = "degrade_"
-
 // Trace adapts a Registry to pipeline.Trace: installing it on a pipeline
 // context (directly, or via catapult.Config.Observer) lands every stage
 // span and counter delta in the registry for free —
@@ -100,8 +94,11 @@ func (t *Trace) StageEnd(s pipeline.Stage, d time.Duration) {
 // Add implements pipeline.Trace.
 func (t *Trace) Add(c pipeline.Counter, n int64) {
 	name := string(c)
-	if strings.HasPrefix(name, DegradePrefix) {
-		t.degrade.With(strings.TrimPrefix(name, DegradePrefix)).Add(float64(n))
+	// Degradation events (emitted by internal/resilience on the context
+	// tracer) go to MetricDegradation{reason=...} without their prefix,
+	// not to the generic pipeline-event family.
+	if strings.HasPrefix(name, pipeline.DegradeCounterPrefix) {
+		t.degrade.With(strings.TrimPrefix(name, pipeline.DegradeCounterPrefix)).Add(float64(n))
 		return
 	}
 	t.events.With(name).Add(float64(n))

@@ -177,6 +177,12 @@ const (
 	CounterSuggestRanked Counter = "suggest_ranked"
 )
 
+// DegradeCounterPrefix starts the name of every counter that carries a
+// resilience degradation event: internal/resilience mirrors its counter
+// <name> onto the trace as "degrade_<name>", and internal/metrics files
+// such counters under the degradation family by <name>.
+const DegradeCounterPrefix = "degrade_"
+
 // Trace observes pipeline execution. Implementations must be safe for
 // concurrent use by multiple goroutines; StageStart/StageEnd pairs for the
 // same stage always come from one goroutine, but different stages and Add

@@ -198,31 +198,20 @@ func (h *Health) String() string {
 	return b.String()
 }
 
-// Weights splits the overall deadline into per-phase soft budgets. Zero
-// value adopts the defaults (clustering 60%, CSG 10%, selection 30%) —
-// clustering dominates wall clock in the paper's pipeline, selection is the
-// second heaviest, CSG closure is cheap.
-type Weights struct {
-	Clustering float64
-	CSG        float64
-	Selection  float64
-}
-
-func (w Weights) normalized() Weights {
-	if w.Clustering <= 0 && w.CSG <= 0 && w.Selection <= 0 {
-		return Weights{Clustering: 0.6, CSG: 0.1, Selection: 0.3}
-	}
-	if w.Clustering < 0 {
-		w.Clustering = 0
-	}
-	if w.CSG < 0 {
-		w.CSG = 0
-	}
-	if w.Selection < 0 {
-		w.Selection = 0
-	}
-	return w
-}
+// The degradation policy. The overall deadline is split into per-phase
+// soft budgets by weight: clustering dominates wall clock in the paper's
+// pipeline, selection is the second heaviest, CSG closure is cheap.
+// safetyMargin of the budget is held back so soft-budget degradation
+// completes before the hard deadline fires, and exact A* GED downgrades to
+// the bipartite approximation once the selection phase has spent
+// gedApproxFraction of its soft budget.
+const (
+	clusteringWeight  = 0.6
+	csgWeight         = 0.1
+	selectionWeight   = 0.3
+	safetyMargin      = 0.1
+	gedApproxFraction = 0.5
+)
 
 // Config is the catapult.Config.Degradation knob set.
 type Config struct {
@@ -235,23 +224,11 @@ type Config struct {
 	// unbounded (panic containment and health reporting stay active, soft
 	// budgets never fire).
 	Deadline time.Duration
-	// Weights splits the budget across phases; zero value uses 60/10/30.
-	Weights Weights
-	// SafetyMargin is the fraction of the budget reserved so soft-budget
-	// degradation completes before the hard deadline fires. Default 0.1.
-	SafetyMargin float64
-	// GEDApproxFraction is the fraction of the selection soft budget after
-	// which exact A* GED verification downgrades to the bipartite
-	// approximation. Default 0.5.
-	GEDApproxFraction float64
 }
 
 // Controller tracks the soft budgets and health of one pipeline run. It is
 // safe for concurrent use (stages poll Overrun from parallel workers).
 type Controller struct {
-	weights Weights
-	gedFrac float64
-
 	mu      sync.Mutex
 	now     func() time.Time // injectable for tests
 	softEnd time.Time        // zero = unbounded
@@ -276,54 +253,45 @@ type Controller struct {
 }
 
 // NewController builds a controller whose overall budget ends at hard
-// (zero = unbounded), with cfg.SafetyMargin of it held back.
-func NewController(cfg Config, now, hard time.Time) *Controller {
+// (zero = unbounded), with safetyMargin of it held back.
+func NewController(now, hard time.Time) *Controller {
 	c := &Controller{
-		weights:  cfg.Weights.normalized(),
-		gedFrac:  cfg.GEDApproxFraction,
 		now:      time.Now,
 		counters: make(map[string]int64),
 		trace:    pipeline.Nop,
-	}
-	if c.gedFrac <= 0 || c.gedFrac > 1 {
-		c.gedFrac = 0.5
-	}
-	margin := cfg.SafetyMargin
-	if margin <= 0 || margin >= 1 {
-		margin = 0.1
 	}
 	if !hard.IsZero() {
 		total := hard.Sub(now)
 		if total < 0 {
 			total = 0
 		}
-		c.softEnd = now.Add(time.Duration(float64(total) * (1 - margin)))
+		c.softEnd = now.Add(time.Duration(float64(total) * (1 - safetyMargin)))
 	}
 	return c
 }
 
-// phase order and weights.
-func (c *Controller) weightOf(s pipeline.Stage) float64 {
+// weightOf returns the soft-budget weight of phase s.
+func weightOf(s pipeline.Stage) float64 {
 	switch s {
 	case pipeline.StageClustering:
-		return c.weights.Clustering
+		return clusteringWeight
 	case pipeline.StageCSG:
-		return c.weights.CSG
+		return csgWeight
 	case pipeline.StageSelect:
-		return c.weights.Selection
+		return selectionWeight
 	}
 	return 0
 }
 
 // remainingWeight sums the weights of s and every phase after it.
-func (c *Controller) remainingWeight(s pipeline.Stage) float64 {
+func remainingWeight(s pipeline.Stage) float64 {
 	switch s {
 	case pipeline.StageClustering:
-		return c.weights.Clustering + c.weights.CSG + c.weights.Selection
+		return clusteringWeight + csgWeight + selectionWeight
 	case pipeline.StageCSG:
-		return c.weights.CSG + c.weights.Selection
+		return csgWeight + selectionWeight
 	case pipeline.StageSelect:
-		return c.weights.Selection
+		return selectionWeight
 	}
 	return 0
 }
@@ -348,7 +316,7 @@ func (c *Controller) BeginPhase(s pipeline.Stage) {
 	if remaining < 0 {
 		remaining = 0
 	}
-	w, rw := c.weightOf(s), c.remainingWeight(s)
+	w, rw := weightOf(s), remainingWeight(s)
 	if rw <= 0 {
 		return
 	}
@@ -422,8 +390,8 @@ func (c *Controller) Overrun() bool {
 }
 
 // gedDegraded reports whether exact GED should downgrade to the bipartite
-// approximation: the selection phase has spent GEDApproxFraction of its soft
-// budget.
+// approximation: the selection phase has spent gedApproxFraction of its
+// soft budget.
 func (c *Controller) gedDegraded() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -431,7 +399,7 @@ func (c *Controller) gedDegraded() bool {
 		return false
 	}
 	spent := c.now().Sub(c.phaseStart)
-	return float64(spent) >= c.gedFrac*float64(c.phaseBudget)
+	return float64(spent) >= gedApproxFraction*float64(c.phaseBudget)
 }
 
 // MarkDegraded marks the current phase degraded with a reason. The first
@@ -474,7 +442,7 @@ func (c *Controller) RecordFault(f *StageFault) {
 	c.counters["faults"]++
 	c.markLocked(StatusDegraded, fmt.Sprintf("contained panic in %s", faultStage(f)))
 	c.mu.Unlock()
-	c.trace.Add(pipeline.Counter(DegradeCounterPrefix+"faults"), 1)
+	c.trace.Add(pipeline.Counter(pipeline.DegradeCounterPrefix+"faults"), 1)
 }
 
 func faultStage(f *StageFault) string {
@@ -496,16 +464,12 @@ func (c *Controller) Observe(t pipeline.Trace) {
 	}
 }
 
-// DegradeCounterPrefix prefixes degradation counters mirrored onto the
-// pipeline trace via Observe.
-const DegradeCounterPrefix = "degrade_"
-
 // Count accumulates a degradation counter.
 func (c *Controller) Count(name string, n int64) {
 	c.mu.Lock()
 	c.counters[name] += n
 	c.mu.Unlock()
-	c.trace.Add(pipeline.Counter(DegradeCounterPrefix+name), n)
+	c.trace.Add(pipeline.Counter(pipeline.DegradeCounterPrefix+name), n)
 }
 
 // Health snapshots the report. Call after EndPhase of the last phase.

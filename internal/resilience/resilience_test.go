@@ -24,7 +24,7 @@ func withClock(c *Controller, fc *fakeClock) *Controller {
 func TestBudgetSplitDefaultsAndRollover(t *testing.T) {
 	fc := newFakeClock()
 	hard := fc.t.Add(1000 * time.Millisecond)
-	c := withClock(NewController(Config{SafetyMargin: 0.1}, fc.t, hard), fc)
+	c := withClock(NewController(fc.t, hard), fc)
 	// Soft window = 900ms; defaults 60/10/30.
 
 	c.BeginPhase(pipeline.StageClustering)
@@ -52,7 +52,7 @@ func TestBudgetSplitDefaultsAndRollover(t *testing.T) {
 func TestOverrunFiresPastSoftBudget(t *testing.T) {
 	fc := newFakeClock()
 	hard := fc.t.Add(1 * time.Second)
-	c := withClock(NewController(Config{}, fc.t, hard), fc)
+	c := withClock(NewController(fc.t, hard), fc)
 	ctx := WithController(context.Background(), c)
 
 	c.BeginPhase(pipeline.StageClustering)
@@ -68,7 +68,7 @@ func TestOverrunFiresPastSoftBudget(t *testing.T) {
 
 func TestUnboundedControllerNeverOverruns(t *testing.T) {
 	fc := newFakeClock()
-	c := withClock(NewController(Config{}, fc.t, time.Time{}), fc)
+	c := withClock(NewController(fc.t, time.Time{}), fc)
 	ctx := WithController(context.Background(), c)
 	c.BeginPhase(pipeline.StageClustering)
 	fc.advance(24 * time.Hour)
@@ -91,7 +91,7 @@ func TestUnboundedControllerNeverOverruns(t *testing.T) {
 func TestGEDApproxAfterFractionOfSelectBudget(t *testing.T) {
 	fc := newFakeClock()
 	hard := fc.t.Add(1 * time.Second)
-	c := withClock(NewController(Config{GEDApproxFraction: 0.5}, fc.t, hard), fc)
+	c := withClock(NewController(fc.t, hard), fc)
 	ctx := WithController(context.Background(), c)
 	c.BeginPhase(pipeline.StageSelect) // whole 900ms soft window, select weight only
 	if GEDApprox(ctx) {
@@ -105,7 +105,7 @@ func TestGEDApproxAfterFractionOfSelectBudget(t *testing.T) {
 
 func TestHealthAggregation(t *testing.T) {
 	fc := newFakeClock()
-	c := withClock(NewController(Config{}, fc.t, fc.t.Add(time.Second)), fc)
+	c := withClock(NewController(fc.t, fc.t.Add(time.Second)), fc)
 	c.BeginPhase(pipeline.StageClustering)
 	c.MarkDegraded("3 oversize clusters left unsplit")
 	c.Count("clusters_unsplit", 3)
@@ -153,7 +153,7 @@ func TestGuardWithoutControllerDoesNotRecover(t *testing.T) {
 }
 
 func TestGuardWithControllerContains(t *testing.T) {
-	c := NewController(Config{}, time.Now(), time.Time{})
+	c := NewController(time.Now(), time.Time{})
 	ctx := WithController(context.Background(), c)
 	c.BeginPhase(pipeline.StageClustering)
 	f := Guard(ctx, pipeline.StageFine, func() { panic("contained") })
@@ -171,7 +171,7 @@ func TestGuardWithControllerContains(t *testing.T) {
 }
 
 func TestGuardIdempotentWrapping(t *testing.T) {
-	c := NewController(Config{}, time.Now(), time.Time{})
+	c := NewController(time.Now(), time.Time{})
 	ctx := WithController(context.Background(), c)
 	inner := &StageFault{Stage: pipeline.StageCSG, Worker: 3, Item: 7, Value: "original"}
 	f := Guard(ctx, pipeline.StageSelect, func() { panic(inner) })

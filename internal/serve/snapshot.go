@@ -190,7 +190,7 @@ func BuildSnapshot(tenant string, version uint64, st State) (*Snapshot, error) {
 		},
 		patterns: st.Patterns,
 		db:       st.DB,
-		engine:   cover.New(st.DB.Graphs, cover.Options{}),
+		engine:   cover.New(st.DB.Graphs),
 		sugg:     suggest.NewEngine(st.Patterns),
 	}
 	views := make([]PatternView, len(st.Patterns))

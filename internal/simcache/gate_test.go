@@ -1,7 +1,7 @@
 // Benchmarks and the regression gate for the similarity engine on the
-// access pattern of clustering: the rows of a pairwise similarity matrix,
-// as KMedoidsCtx requests them, over a database with heavy isomorphic
-// redundancy. `make bench-gate-cluster` runs the gate, which writes
+// access pattern of clustering: rows of a pairwise similarity matrix, as
+// fine clustering requests one per split seed, over a database with heavy
+// isomorphic redundancy. `make bench-gate-cluster` runs the gate, which writes
 // BENCH_cluster.json at the repository root and fails when the memoized,
 // parallel engine is less than 1.5x faster than the sequential oracle
 // (naiveBatch).

@@ -46,24 +46,12 @@ import (
 	"repro/internal/pipeline"
 )
 
-// DefaultMaxCanonVertices is the default size cap above which a graph is
-// keyed by identity instead of by canonical form, mirroring the coverage
-// engine: canonical labeling is individualization-refinement search,
-// comfortable for the dataset-scale graphs fine clustering compares but
-// not guaranteed cheap on arbitrary hosts. Identity-keyed graphs are their
-// own representatives, which stays deterministic (the same concrete graph
-// is evaluated every time); it only forgoes sharing with isomorphic twins.
-const DefaultMaxCanonVertices = 48
-
 // Options configures an Engine.
 type Options struct {
 	// Kind selects the similarity measure (default mcs.KindMCCS).
 	Kind mcs.Kind
 	// Budget bounds each MCS/MCCS search (default mcs.DefaultBudget).
 	Budget int
-	// MaxCanonVertices caps the graph size for canonical-form keys
-	// (default DefaultMaxCanonVertices).
-	MaxCanonVertices int
 }
 
 // Stats is a snapshot of engine activity.
@@ -82,10 +70,9 @@ type Stats struct {
 // Engine evaluates pairwise similarities over a fixed graph universe,
 // addressed by index. It is safe for concurrent use.
 type Engine struct {
-	graphs    []*graph.Graph
-	kind      mcs.Kind
-	budget    int
-	maxCanonV int
+	graphs []*graph.Graph
+	kind   mcs.Kind
+	budget int
 
 	// keyMu guards keys and reps; both are filled lazily per index and are
 	// written at most once (the computed values are deterministic, so a
@@ -110,22 +97,17 @@ type pairKey struct{ lo, hi string }
 // building an engine over a large database costs nothing for the graphs
 // fine clustering never compares.
 func New(graphs []*graph.Graph, opts Options) *Engine {
-	maxCanonV := opts.MaxCanonVertices
-	if maxCanonV <= 0 {
-		maxCanonV = DefaultMaxCanonVertices
-	}
 	budget := opts.Budget
 	if budget <= 0 {
 		budget = mcs.DefaultBudget
 	}
 	return &Engine{
-		graphs:    append([]*graph.Graph(nil), graphs...),
-		kind:      opts.Kind,
-		budget:    budget,
-		maxCanonV: maxCanonV,
-		keys:      make([]string, len(graphs)),
-		reps:      make([]*graph.Graph, len(graphs)),
-		memo:      make(map[pairKey]float64),
+		graphs: append([]*graph.Graph(nil), graphs...),
+		kind:   opts.Kind,
+		budget: budget,
+		keys:   make([]string, len(graphs)),
+		reps:   make([]*graph.Graph, len(graphs)),
+		memo:   make(map[pairKey]float64),
 	}
 }
 
@@ -151,8 +133,10 @@ func (e *Engine) MemoSize() int {
 
 // keyOf returns the cache key and representative graph of index i,
 // computing and caching them on first use. Graphs that are empty, exceed
-// the canonical-size cap, or carry labels the canonical encoding cannot
-// round-trip get an identity key and represent themselves.
+// canon.MaxKeyVertices, or carry labels the canonical encoding cannot
+// round-trip get an identity key and represent themselves, which stays
+// deterministic (the same concrete graph is evaluated every time); it only
+// forgoes sharing with isomorphic twins.
 func (e *Engine) keyOf(i int) (string, *graph.Graph) {
 	e.keyMu.RLock()
 	k, r := e.keys[i], e.reps[i]
@@ -161,7 +145,7 @@ func (e *Engine) keyOf(i int) (string, *graph.Graph) {
 		return k, r
 	}
 	g := e.graphs[i]
-	if g.NumVertices() == 0 || g.NumVertices() > e.maxCanonV || !canon.Reconstructible(g) {
+	if g.NumVertices() == 0 || g.NumVertices() > canon.MaxKeyVertices || !canon.Reconstructible(g) {
 		k, r = fmt.Sprintf("id:%d", i), g
 	} else {
 		k = canon.String(g)

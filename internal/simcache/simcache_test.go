@@ -3,8 +3,10 @@ package simcache
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/mcs"
@@ -148,33 +150,65 @@ func TestSelfSimilarityAndEmpty(t *testing.T) {
 	}
 }
 
-// TestIdentityKeyFallbacks: graphs that cannot take canonical keys — too
-// large for the cap, or labels the encoding cannot round-trip — must still
-// produce values identical to the sequential oracle (they just forgo
-// sharing).
+// largeGraph builds a connected labeled graph of n vertices: a random
+// tree plus n/4 extra edges.
+func largeGraph(rng *rand.Rand, n int) *graph.Graph {
+	labels := []string{"C", "N", "O", "S"}
+	g := graph.New(n, n+n/4)
+	for i := 0; i < n; i++ {
+		g.AddVertex(labels[rng.Intn(len(labels))])
+		if i > 0 {
+			g.MustAddEdge(graph.VertexID(rng.Intn(i)), graph.VertexID(i))
+		}
+	}
+	for e := n / 4; e > 0; e-- {
+		u, v := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
+		if u != v && !g.HasEdge(u, v) {
+			g.MustAddEdge(u, v)
+		}
+	}
+	return g
+}
+
+// TestIdentityKeyFallbacks: graphs that cannot take canonical keys — above
+// canon.MaxKeyVertices, or with labels the encoding cannot round-trip —
+// must get identity keys and still produce values identical to the
+// sequential oracle (they just forgo sharing, even with isomorphic twins).
 func TestIdentityKeyFallbacks(t *testing.T) {
-	gs := redundantGraphs(4, 1, 3)
+	rng := rand.New(rand.NewSource(3))
+	var gs []*graph.Graph
+	for i := 0; i < 4; i++ {
+		g := largeGraph(rng, canon.MaxKeyVertices+1+rng.Intn(12))
+		gs = append(gs, g, permuted(g, rng))
+	}
 	weird := graph.New(2, 1)
 	weird.AddVertex("a;b")
 	weird.AddVertex("a|b")
 	weird.MustAddEdge(0, 1)
 	gs = append(gs, weird)
 
-	opts := Options{Budget: 2000, MaxCanonVertices: 8} // below dataset sizes
+	opts := Options{Budget: 2000}
 	eng := New(gs, opts)
+	for i, g := range gs {
+		if k, _ := eng.keyOf(i); !strings.HasPrefix(k, "id:") {
+			t.Fatalf("graph %d (%d vertices) keyed %.20q, want an identity key", i, g.NumVertices(), k)
+		}
+	}
 
 	members := make([]int, len(gs))
 	for i := range members {
 		members[i] = i
 	}
-	got, err := eng.BatchCtx(context.Background(), members, len(gs)-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := naiveBatch(New(gs, opts), members, len(gs)-1)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("sim[%d] = %v engine, %v naive", i, got[i], want[i])
+	for _, target := range []int{0, len(gs) - 1} {
+		got, err := eng.BatchCtx(context.Background(), members, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := naiveBatch(New(gs, opts), members, target)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("target %d: sim[%d] = %v engine, %v naive", target, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 // Package store is the crash-safe durable snapshot store for the full
 // CATAPULT serving state: the graph database, the selected canned
-// patterns, the cluster membership, the persisted gindex postings and the
-// Maintainer's retry bookkeeping.
+// patterns, the cluster membership and the Maintainer's retry bookkeeping.
 //
 // # On-disk format (CSNAP1)
 //
@@ -14,7 +13,7 @@
 // where each section is
 //
 //	tag      [4]byte                "META", "LBLS", "GRDB", "PATS",
-//	                                "CLUS", "GIDX", "MNTR"
+//	                                "CLUS", "MNTR"
 //	uvarint  payloadLen
 //	payload  [payloadLen]byte
 //	crc32c   uint32 little-endian   CRC-32C (Castagnoli) of tag ∥ payload
@@ -22,10 +21,12 @@
 // Every section is independently framed (length header) and checksummed
 // (CRC32C), so the loader detects torn writes, truncation and bit flips
 // without trusting any payload byte; unknown tags with a valid CRC are
-// skipped for forward compatibility. All counts inside payloads are
-// validated against the remaining payload length before they are used as
-// allocation hints, in the style of the bignet BNET1 loader, so hostile
-// lengths cannot force large allocations.
+// skipped for forward compatibility. Snapshots written by earlier versions
+// also carry a "GIDX" section (a gindex over the database) between CLUS
+// and MNTR; nothing reads it, so it is skipped as unknown. All counts
+// inside payloads are validated against the remaining payload length
+// before they are used as allocation hints, in the style of the bignet
+// BNET1 loader, so hostile lengths cannot force large allocations.
 //
 // Snapshots are written atomically (AtomicWriteFile: temp file, fsync,
 // rename, directory fsync) into generation-numbered slots
@@ -60,7 +61,6 @@ const (
 	tagGrdb  = "GRDB"
 	tagPats  = "PATS"
 	tagClus  = "CLUS"
-	tagGidx  = "GIDX"
 	tagMntr  = "MNTR"
 	tagBytes = 4
 )
@@ -101,9 +101,6 @@ type State struct {
 	Patterns []Pattern
 	// Clusters is the cluster membership (graph indices per cluster).
 	Clusters [][]int
-	// IndexBytes is the gindex persist payload (gindex.Save bytes) for
-	// the database, or empty when no index was captured.
-	IndexBytes []byte
 
 	// Maintainer retry bookkeeping: graphs parked after failed refreshes,
 	// the consecutive-failure count driving the backoff ladder, when the
@@ -261,8 +258,7 @@ func Encode(st *State) ([]byte, error) {
 		payload []byte
 	}{
 		{tagMeta, meta}, {tagLbls, lbls}, {tagGrdb, grdb},
-		{tagPats, pats}, {tagClus, clus}, {tagGidx, st.IndexBytes},
-		{tagMntr, mntr},
+		{tagPats, pats}, {tagClus, clus}, {tagMntr, mntr},
 	}
 	out = binary.AppendUvarint(out, uint64(len(sections)))
 	for _, s := range sections {
@@ -553,17 +549,18 @@ func Decode(data []byte) (*State, error) {
 	byTag := make(map[string]section, len(secs))
 	for _, s := range secs {
 		switch s.tag {
-		case tagMeta, tagLbls, tagGrdb, tagPats, tagClus, tagGidx, tagMntr:
+		case tagMeta, tagLbls, tagGrdb, tagPats, tagClus, tagMntr:
 			if _, dup := byTag[s.tag]; dup {
 				return nil, &CorruptError{Section: s.tag, Reason: "duplicate section"}
 			}
 			byTag[s.tag] = s
 		default:
-			// Unknown tag with a valid CRC: a future format extension.
-			// Skip it; the known sections are self-contained.
+			// Unknown tag with a valid CRC: a future format extension,
+			// or the GIDX section of an earlier version. Skip it; the
+			// known sections are self-contained.
 		}
 	}
-	for _, tag := range []string{tagMeta, tagLbls, tagGrdb, tagPats, tagClus, tagGidx, tagMntr} {
+	for _, tag := range []string{tagMeta, tagLbls, tagGrdb, tagPats, tagClus, tagMntr} {
 		if _, ok := byTag[tag]; !ok {
 			return nil, &CorruptError{Section: tag, Reason: "section missing"}
 		}
@@ -692,12 +689,6 @@ func Decode(data []byte) (*State, error) {
 	}
 	if err := d.done(); err != nil {
 		return nil, err
-	}
-
-	// GIDX: stored opaquely; gindex.Load validates it against the
-	// database when the caller reattaches it.
-	if p := byTag[tagGidx].payload(data); len(p) > 0 {
-		st.IndexBytes = append([]byte(nil), p...)
 	}
 
 	// MNTR

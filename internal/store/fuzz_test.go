@@ -38,6 +38,16 @@ func FuzzSnapshotLoader(f *testing.F) {
 		mut[i] ^= 0xA5
 		f.Add(mut)
 	}
+	// The same snapshot as earlier versions wrote it, with an empty GIDX
+	// section before MNTR, and one flip of each of its bytes: the loader
+	// skips the section when it verifies and rejects the file when not.
+	legacy := withIndexSection(f, small)
+	f.Add(legacy)
+	for i := range legacy {
+		mut := append([]byte(nil), legacy...)
+		mut[i] ^= 0xA5
+		f.Add(mut)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data) // must not panic on any input
@@ -60,4 +70,22 @@ func FuzzSnapshotLoader(f *testing.F) {
 			t.Fatal("decode→encode not stable on accepted input")
 		}
 	})
+}
+
+// withIndexSection re-frames a snapshot with an empty GIDX section before
+// its final (MNTR) section, the layout earlier versions wrote.
+func withIndexSection(tb testing.TB, snap []byte) []byte {
+	tb.Helper()
+	secs, err := scanSections(snap)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := binary.AppendUvarint([]byte(Magic), uint64(len(secs)+1))
+	for i, sec := range secs {
+		if i == len(secs)-1 {
+			out = appendSection(out, "GIDX", nil)
+		}
+		out = appendSection(out, sec.tag, sec.payload(snap))
+	}
+	return out
 }

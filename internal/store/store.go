@@ -39,8 +39,7 @@ const (
 // require external synchronization; Recover is read-only and safe
 // alongside anything.
 type Store struct {
-	dir    string
-	retain int
+	dir string
 }
 
 // Open prepares dir (creating it if needed) and returns a store over it
@@ -52,19 +51,11 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, retain: DefaultRetain}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the snapshot directory.
 func (s *Store) Dir() string { return s.dir }
-
-// SetRetain bounds how many generations survive pruning (minimum 1).
-func (s *Store) SetRetain(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.retain = n
-}
 
 // Path returns the file path of generation gen.
 func (s *Store) Path(gen uint64) string {
@@ -138,7 +129,7 @@ func (s *Store) WriteCtx(ctx context.Context, st *State) (uint64, error) {
 // one retained generation, and a failed unlink never fails the write
 // that triggered it.
 func (s *Store) prune(old []uint64) {
-	excess := len(old) + 1 - s.retain
+	excess := len(old) + 1 - DefaultRetain
 	for i := 0; i < excess && i < len(old); i++ {
 		os.Remove(s.Path(old[i]))
 	}

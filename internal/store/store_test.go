@@ -13,8 +13,8 @@ import (
 )
 
 // testState builds a representative state: a small database with explicit
-// edge labels, scored patterns, clusters, fake gindex bytes and queued
-// maintainer bookkeeping — every section non-trivially populated.
+// edge labels, scored patterns, clusters and queued maintainer
+// bookkeeping — every section non-trivially populated.
 func testState(seed int) *State {
 	mk := func(id, n int, label string) *graph.Graph {
 		g := graph.New(n, n)
@@ -47,12 +47,11 @@ func testState(seed int) *State {
 			{G: mk(0, 3, "C"), Score: 0.75, Ccov: 0.5, Lcov: 0.25, Div: 1, Cog: 1.5, SourceCSG: 0},
 			{G: mk(1, 4, "N"), Score: 0.0625, Ccov: 0.125, Lcov: 0.0315, Div: 3.000000001, Cog: 2.25, SourceCSG: 2},
 		},
-		Clusters:   [][]int{{0, 2, 4}, {1, 3}, {5}},
-		IndexBytes: []byte("gindex 1 3 6\nf C/C 0 2\n"),
-		Pending:    []*graph.Graph{mk(0, 5, "O")},
-		Failures:   3,
-		NextRetry:  time.Unix(1700000100, 42),
-		LastErr:    "reselect after insert: injected",
+		Clusters:  [][]int{{0, 2, 4}, {1, 3}, {5}},
+		Pending:   []*graph.Graph{mk(0, 5, "O")},
+		Failures:  3,
+		NextRetry: time.Unix(1700000100, 42),
+		LastErr:   "reselect after insert: injected",
 	}
 }
 
@@ -115,9 +114,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if want.String() != have.String() {
 		t.Fatal("database transaction text differs after round trip (edge labels lost?)")
-	}
-	if !bytes.Equal(got.IndexBytes, st.IndexBytes) {
-		t.Fatal("gindex bytes differ")
 	}
 }
 

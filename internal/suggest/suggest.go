@@ -190,7 +190,7 @@ func NewEngine(patterns []*core.Pattern) *Engine {
 	for i, p := range ps {
 		gs[i] = p.Graph
 	}
-	return &Engine{patterns: ps, cov: cover.New(gs, cover.Options{})}
+	return &Engine{patterns: ps, cov: cover.New(gs)}
 }
 
 // NumPatterns returns the size of the engine's pattern set.
@@ -221,7 +221,7 @@ func (e *Engine) SuggestCtx(ctx context.Context, q *graph.Graph, opts Options) (
 	// so the controller's existing ladder (Overrun, the half-budget GED
 	// downgrade) applies without pipeline phase weights.
 	if opts.Budget > 0 {
-		ctrl := resilience.NewController(resilience.Config{}, start, start.Add(opts.Budget))
+		ctrl := resilience.NewController(start, start.Add(opts.Budget))
 		ctrl.Observe(pipeline.From(ctx))
 		ctrl.BeginSolePhase(pipeline.StageSuggest)
 		defer ctrl.EndPhase()

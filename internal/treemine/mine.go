@@ -230,18 +230,12 @@ func RecountCtx(ctx context.Context, db *graph.DB, trees []*FrequentTree, minSup
 	return out, nil
 }
 
-// FeatureVectors builds the |Tsel|-dimensional binary feature vector of
-// every graph in db (Algorithm 2, lines 3-10): bit j is set iff the graph
-// contains tree j. Support lists recorded during mining accelerate the
-// common case where db is the mined database itself; containment is
-// verified with VF2 otherwise.
-func FeatureVectors(db *graph.DB, sel []*FrequentTree) [][]bool {
-	vecs, _ := FeatureVectorsCtx(context.Background(), db, sel)
-	return vecs
-}
-
-// FeatureVectorsCtx is FeatureVectors with cooperative cancellation: the
-// parallel per-graph loop stops claiming graphs once ctx is cancelled.
+// FeatureVectorsCtx builds the |Tsel|-dimensional binary feature vector
+// of every graph in db (Algorithm 2, lines 3-10): bit j is set iff the
+// graph contains tree j. Support lists recorded during mining accelerate
+// the common case where db is the mined database itself; containment is
+// verified with VF2 otherwise. The parallel per-graph loop stops claiming
+// graphs once ctx is cancelled.
 func FeatureVectorsCtx(ctx context.Context, db *graph.DB, sel []*FrequentTree) ([][]bool, error) {
 	vecs := make([][]bool, db.Len())
 	err := par.ForCtx(ctx, db.Len(), func(i int) {

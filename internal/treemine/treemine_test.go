@@ -1,6 +1,7 @@
 package treemine
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -256,7 +257,10 @@ func TestMineMaxTreesCap(t *testing.T) {
 func TestFeatureVectors(t *testing.T) {
 	db := miningDB()
 	trees := mineT(t, db, MineOptions{MinSupport: 0.5, MaxEdges: 2})
-	vecs := FeatureVectors(db, trees)
+	vecs, err := FeatureVectorsCtx(context.Background(), db, trees)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(vecs) != db.Len() {
 		t.Fatalf("vector count = %d", len(vecs))
 	}

@@ -145,7 +145,7 @@ func NewMaintainerCtx(stdctx context.Context, db *graph.DB, cfg Config) (*Mainta
 		return nil, err
 	}
 	return &Maintainer{
-		cfg:      cfg,
+		cfg:      refreshConfig(cfg),
 		db:       res.WorkingDB,
 		clusters: res.Clusters,
 		csgs:     res.CSGs,
@@ -153,6 +153,16 @@ func NewMaintainerCtx(stdctx context.Context, db *graph.DB, cfg Config) (*Mainta
 		now:      time.Now,
 		version:  1,
 	}, nil
+}
+
+// refreshConfig is cfg with the defaults a Maintainer's refreshes read:
+// the pattern budget and the clustering sub-config. The facade's strategy
+// rule and sub-seed propagation are not applied, so refreshes split and
+// reselect with the sub-seeds as configured.
+func refreshConfig(cfg Config) Config {
+	cfg.defaultBudget()
+	cfg.Clustering = cfg.Clustering.WithDefaults()
+	return cfg
 }
 
 // Patterns returns the current canned pattern set — always the last-good
@@ -305,9 +315,6 @@ func (m *Maintainer) tryRefresh(stdctx context.Context, gs []*graph.Graph) (time
 	// Split any cluster that outgrew N, using the configured fine
 	// clustering.
 	n := m.cfg.Clustering.N
-	if n <= 0 {
-		n = 20
-	}
 	var toSplit []*cluster.Cluster
 	splitFrom := make(map[int]bool)
 	for ci, members := range clusters {

@@ -1,14 +1,12 @@
 package catapult
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/gindex"
 	"repro/internal/metrics"
 	"repro/internal/store"
 )
@@ -70,8 +68,10 @@ func (m *Maintainer) StateVersion() uint64 { return m.version }
 func (m *Maintainer) LastPersistErr() error { return m.lastPersist }
 
 // SnapshotState captures the maintainer's full durable state — database,
-// patterns, clusters, gindex persist bytes, retry bookkeeping — as a
-// StoredState. SavedAt is left zero; persistence stamps it at write time.
+// patterns, clusters, retry bookkeeping — as a StoredState: everything a
+// warm start reads, and nothing derived from it (cluster summaries and
+// search indexes are rebuilt on demand). SavedAt is left zero;
+// persistence stamps it at write time.
 func (m *Maintainer) SnapshotState() *StoredState {
 	pats := make([]StoredPattern, len(m.patterns))
 	for i, p := range m.patterns {
@@ -92,10 +92,6 @@ func (m *Maintainer) SnapshotState() *StoredState {
 	}
 	if m.lastErr != nil {
 		st.LastErr = m.lastErr.Error()
-	}
-	var buf bytes.Buffer
-	if err := gindex.Build(m.db, gindex.Options{}).Save(&buf); err == nil {
-		st.IndexBytes = buf.Bytes()
 	}
 	return st
 }
@@ -235,7 +231,7 @@ func NewMaintainerFromState(st *StoredState, cfg Config) (*Maintainer, error) {
 		}
 	}
 	m := &Maintainer{
-		cfg:       cfg,
+		cfg:       refreshConfig(cfg),
 		db:        db,
 		clusters:  st.Clusters,
 		patterns:  pats,

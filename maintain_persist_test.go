@@ -3,7 +3,9 @@ package catapult
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,6 +15,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/faultinject"
+	"repro/internal/gindex"
+	"repro/internal/graph"
 	"repro/internal/pipeline"
 	"repro/internal/store"
 )
@@ -80,6 +84,87 @@ func TestMaintainerPersistenceLifecycle(t *testing.T) {
 	gen, err := m.PersistNow(context.Background())
 	if err != nil || gen != 3 {
 		t.Fatalf("PersistNow = %d, %v; want gen 3", gen, err)
+	}
+}
+
+// snapshotSections splits CSNAP1 bytes into their framed sections (tag,
+// length, payload and checksum each).
+func snapshotSections(t *testing.T, snap []byte) [][]byte {
+	t.Helper()
+	off := len(store.Magic)
+	n, w := binary.Uvarint(snap[off:])
+	off += w
+	var secs [][]byte
+	for i := uint64(0); i < n; i++ {
+		start := off
+		plen, w := binary.Uvarint(snap[off+4:])
+		off += 4 + w + int(plen) + 4
+		secs = append(secs, snap[start:off])
+	}
+	if off != len(snap) {
+		t.Fatalf("snapshot framing ends at byte %d of %d", off, len(snap))
+	}
+	return secs
+}
+
+// withIndexSection re-frames a snapshot as earlier versions wrote it: with
+// a GIDX section, a saved gindex over db, before the final MNTR section.
+func withIndexSection(t *testing.T, snap []byte, db *graph.DB) []byte {
+	t.Helper()
+	var idx bytes.Buffer
+	if err := gindex.Build(db, gindex.Options{}).Save(&idx); err != nil {
+		t.Fatal(err)
+	}
+	secs := snapshotSections(t, snap)
+	last := secs[len(secs)-1]
+	if string(last[:4]) != "MNTR" {
+		t.Fatalf("last section is %q, want MNTR", last[:4])
+	}
+	gidx := binary.AppendUvarint([]byte("GIDX"), uint64(idx.Len()))
+	gidx = append(gidx, idx.Bytes()...)
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	gidx = binary.LittleEndian.AppendUint32(gidx,
+		crc32.Update(crc32.Checksum([]byte("GIDX"), castagnoli), castagnoli, idx.Bytes()))
+	out := binary.AppendUvarint([]byte(store.Magic), uint64(len(secs)+1))
+	for _, sec := range secs[:len(secs)-1] {
+		out = append(out, sec...)
+	}
+	out = append(out, gidx...)
+	return append(out, last...)
+}
+
+// Snapshots carry no GIDX section, and one written by an earlier version
+// with it must decode to the same state, warm-start, and re-encode to the
+// current format byte for byte.
+func TestMaintainerWarmStartFromIndexedSnapshot(t *testing.T) {
+	m := testMaintainer(t)
+	st := m.SnapshotState()
+	current, err := store.Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range snapshotSections(t, current) {
+		if string(sec[:4]) == "GIDX" {
+			t.Fatal("a new snapshot carries a GIDX section")
+		}
+	}
+
+	got, err := store.Decode(withIndexSection(t, current, m.DB()))
+	if err != nil {
+		t.Fatalf("snapshot with a GIDX section rejected: %v", err)
+	}
+	if re, err := store.Encode(got); err != nil || !bytes.Equal(re, current) {
+		t.Fatalf("snapshot with a GIDX section does not re-encode to the current format (err %v)", err)
+	}
+	warm, err := NewMaintainerFromState(got, m.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := store.Equal(warm.SnapshotState(), st); err != nil || !ok {
+		t.Fatalf("warm start from a snapshot with a GIDX section differs from the live state (err %v)", err)
+	}
+	if _, err := warm.AddGraphsCtx(context.Background(), dataset.AIDSLike(3, 7).Graphs); err != nil {
+		t.Fatalf("refresh after the warm start: %v", err)
 	}
 }
 

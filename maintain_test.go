@@ -248,3 +248,30 @@ func TestMaintainerBackoffCapped(t *testing.T) {
 		t.Errorf("backoff after 40 failures = %v, want cap %v", got, retryMaxDelay)
 	}
 }
+
+// A Maintainer configured without a budget refreshes under the default
+// budget its cold mine used, whichever constructor built it.
+func TestMaintainerDefaultBudget(t *testing.T) {
+	cfg := Config{Seed: 42}
+	mined, err := NewMaintainerCtx(context.Background(), dataset.EMolLike(25, 3), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := NewMaintainerFromState(mined.SnapshotState(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range []*Maintainer{mined, warm} {
+		if _, err := m.AddGraphsCtx(context.Background(), dataset.EMolLike(5, 99).Graphs); err != nil {
+			t.Fatalf("maintainer %d: refresh: %v", i, err)
+		}
+		if m.Pending() != 0 || len(m.Patterns()) == 0 {
+			t.Fatalf("maintainer %d: %d graphs pending, %d patterns", i, m.Pending(), len(m.Patterns()))
+		}
+		for _, p := range m.Patterns() {
+			if p.Size() < 3 || p.Size() > 12 {
+				t.Errorf("maintainer %d: pattern size %d outside the default budget", i, p.Size())
+			}
+		}
+	}
+}

@@ -48,7 +48,6 @@ func main() {
 		Degradation: catapult.DegradationConfig{
 			Enabled:  true,
 			Deadline: 30 * time.Second,
-			Weights:  catapult.DegradationWeights{Clustering: 0.6, CSG: 0.1, Selection: 0.3},
 		},
 		Observer: catapult.MetricsObserver(m),
 		Seed:     1,
