@@ -2,6 +2,7 @@ package catapult_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -65,11 +66,34 @@ type goldenInput struct {
 	cfg  catapult.Config
 }
 
+// goldenQuickstart is the quickstart configuration the benchmark's mine
+// workload runs.
+var goldenQuickstart = catapult.Config{
+	Budget:     core.Budget{EtaMin: 3, EtaMax: 8, Gamma: 10},
+	Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 20, MinSupport: 0.1},
+	Seed:       42,
+}
+
+// goldenNetworkDB is the region-summary database of a small generated
+// R-MAT network, the input the large-network path selects over.
+func goldenNetworkDB(t *testing.T) *graph.DB {
+	t.Helper()
+	f := dataset.NetworkFrozen(dataset.NetworkConfig{
+		Name: "golden-net", Vertices: 4096, Edges: 20000, Labels: 8, Seed: 1,
+	})
+	dec, err := catapult.DecomposeNetworkCtx(context.Background(), f, goldenQuickstart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec.DB
+}
+
 // goldenInputs are the three redundant databases of the differential
 // suites, whose tight MCS budget makes any change in exploration order
-// visible, and the quickstart configuration the benchmark's mine workload
-// runs.
-func goldenInputs() []goldenInput {
+// visible, the quickstart configuration the benchmark's mine workload
+// runs, and that configuration over a network's region summaries, whose
+// small CSGs are the ones too small to reach the largest pattern size.
+func goldenInputs(t *testing.T) []goldenInput {
 	var in []goldenInput
 	for seed := int64(1); seed <= 3; seed++ {
 		in = append(in, goldenInput{
@@ -81,11 +105,12 @@ func goldenInputs() []goldenInput {
 	in = append(in, goldenInput{
 		name: "quickstart",
 		db:   dataset.AIDSLike(200, 1),
-		cfg: catapult.Config{
-			Budget:     core.Budget{EtaMin: 3, EtaMax: 8, Gamma: 10},
-			Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 20, MinSupport: 0.1},
-			Seed:       42,
-		},
+		cfg:  goldenQuickstart,
+	})
+	in = append(in, goldenInput{
+		name: "network",
+		db:   goldenNetworkDB(t),
+		cfg:  goldenQuickstart,
 	})
 	return in
 }
@@ -131,6 +156,24 @@ func firstDiff(got, want []byte) string {
 	return "identical"
 }
 
+// checkSpansEtaMax demands CSGs both below and at or above etaMax edges, so
+// the input keeps proposing sizes that some CSGs are too small to reach.
+func checkSpansEtaMax(t *testing.T, res *catapult.Result, etaMax int) {
+	t.Helper()
+	below, above := 0, 0
+	for _, c := range res.CSGs {
+		if c.G.NumEdges() < etaMax {
+			below++
+		} else {
+			above++
+		}
+	}
+	if below == 0 || above == 0 {
+		t.Errorf("network input has %d CSGs below and %d at or above ηmax = %d edges; want both",
+			below, above, etaMax)
+	}
+}
+
 // TestGoldenSelect selects every golden input under GOMAXPROCS 1, 2 and 4
 // and demands each rendering equal testdata/select.golden byte for byte.
 func TestGoldenSelect(t *testing.T) {
@@ -141,7 +184,7 @@ func TestGoldenSelect(t *testing.T) {
 	if err != nil && !*updateGolden {
 		t.Fatalf("%v (regenerate with -update-golden)", err)
 	}
-	inputs := goldenInputs()
+	inputs := goldenInputs(t)
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		var got bytes.Buffer
@@ -151,6 +194,9 @@ func TestGoldenSelect(t *testing.T) {
 				t.Fatalf("GOMAXPROCS %d, %s: %v", procs, in.name, err)
 			}
 			renderGolden(&got, in.name, res)
+			if in.name == "network" && procs == 1 {
+				checkSpansEtaMax(t, res, in.cfg.Budget.EtaMax)
+			}
 		}
 		if *updateGolden && procs == 1 {
 			if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
