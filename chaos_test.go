@@ -174,6 +174,37 @@ func TestChaosPanicSelect(t *testing.T) {
 	checkValidPatterns(t, res, cfg.Budget)
 }
 
+func TestChaosPanicSelectGeneration(t *testing.T) {
+	cfg := stagedConfig()
+	cfg.Degradation = resilience.Config{Enabled: true}
+	clean, err := Select(dataset.AIDSLike(40, 1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clean.Patterns) < 2 {
+		t.Fatalf("clean run selected %d patterns; the test needs a second round", len(clean.Patterns))
+	}
+	// Round 1 walks every (CSG, size) pair, so the walk past its total is
+	// counted inside a generation worker of round 2, where the panic must
+	// be contained and leave round 1's pattern as the prefix.
+	sizes := cfg.Budget.EtaMax - cfg.Budget.EtaMin + 1
+	round1 := int64(len(clean.CSGs) * sizes * 20)
+	inj := faultinject.New().PanicAfter(pipeline.CounterWalks, round1+1, "poisoned walk")
+
+	res := chaosRun(t, inj, cfg)
+	f := faultInPhase(res.Health, pipeline.StageSelect)
+	if f == nil {
+		t.Fatalf("no fault attributed to select phase; health:\n%s", res.Health)
+	}
+	if _, ok := f.Value.(*faultinject.Panic); !ok {
+		t.Errorf("fault value = %T %v, want *faultinject.Panic", f.Value, f.Value)
+	}
+	if len(res.Patterns) != 1 || res.Patterns[0].Graph.String() != clean.Patterns[0].Graph.String() {
+		t.Errorf("selection kept %d patterns, want round 1's pattern alone", len(res.Patterns))
+	}
+	checkValidPatterns(t, res, cfg.Budget)
+}
+
 func TestChaosStallVF2(t *testing.T) {
 	cfg := stagedConfig()
 	cfg.Degradation = resilience.Config{Enabled: true, Deadline: 400 * time.Millisecond}

@@ -120,15 +120,6 @@ type Result struct {
 	Exhausted bool
 }
 
-// PatternSet returns the bare pattern graphs.
-func (r *Result) PatternSet() []*graph.Graph {
-	out := make([]*graph.Graph, len(r.Patterns))
-	for i, p := range r.Patterns {
-		out[i] = p.Graph
-	}
-	return out
-}
-
 // Context carries the database-level statistics needed to score patterns:
 // cluster weights, edge-label weights and per-label coverage sets.
 type Context struct {
@@ -244,9 +235,3 @@ func (ctx *Context) CoverStats() cover.Stats {
 	}
 	return ctx.coverEng.Stats()
 }
-
-// ClusterWeight returns the current (possibly discounted) weight of CSG i.
-func (ctx *Context) ClusterWeight(i int) float64 { return ctx.cw[i] }
-
-// EdgeLabelWeight returns the current weight of an edge label.
-func (ctx *Context) EdgeLabelWeight(label string) float64 { return ctx.elw[label] }

@@ -5,9 +5,33 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/csg"
 	"repro/internal/graph"
 )
+
+// ClusterWeight returns the current (possibly discounted) weight of CSG i.
+func (ctx *Context) ClusterWeight(i int) float64 { return ctx.cw[i] }
+
+// EdgeLabelWeight returns the current weight of an edge label.
+func (ctx *Context) EdgeLabelWeight(label string) float64 { return ctx.elw[label] }
+
+// UpdateWeights is updateWeightsCtx without cancellation.
+func (ctx *Context) UpdateWeights(p *graph.Graph) {
+	_ = ctx.updateWeightsCtx(context.Background(), p)
+}
+
+// isDuplicate reports whether p is isomorphic to a graph already recorded
+// under the same signature (signature equality is necessary for
+// isomorphism, so only those need the exact check).
+func isDuplicate(seen map[string][]*graph.Graph, p *graph.Graph) bool {
+	for _, q := range seen[p.Signature()] {
+		if canon.Equal(q, p) {
+			return true
+		}
+	}
+	return false
+}
 
 // ringWithTail builds an n-cycle of C with a pendant chain of given labels.
 func ringWithTail(n int, tail ...string) *graph.Graph {

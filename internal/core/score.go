@@ -84,31 +84,6 @@ func (ctx *Context) ScorePattern(p *graph.Graph, selected []*graph.Graph) (score
 	return score, ccov, lcov, div, cog
 }
 
-// scoreWith computes the pattern score under the selection options, which
-// add the query-log factor to Eq 2 when a log is given.
-func (ctx *Context) scoreWith(p *graph.Graph, selected []*graph.Graph, opts Options) (score, ccov, lcov, div, cog float64) {
-	score, ccov, lcov, div, cog, _ = ctx.scoreWithCtx(context.Background(), p, selected, opts)
-	return score, ccov, lcov, div, cog
-}
-
-// scoreWithCtx is scoreWith with cooperative cancellation, threaded into
-// the VF2 coverage checks and the pruned min-GED diversity loop.
-func (sc *Context) scoreWithCtx(stdctx context.Context, p *graph.Graph, selected []*graph.Graph, opts Options) (score, ccov, lcov, div, cog float64, err error) {
-	t, err := sc.termsCtx(stdctx, p, opts)
-	if err != nil {
-		return 0, 0, 0, 0, 0, err
-	}
-	div = 1
-	if len(selected) > 0 {
-		d, _, derr := ged.MinDistanceCtx(stdctx, p, selected)
-		if derr != nil {
-			return 0, 0, 0, 0, 0, derr
-		}
-		div = float64(d)
-	}
-	return t.score(div, opts), t.ccov, t.lcov, div, t.cog, nil
-}
-
 // terms are the factors of a candidate's Eq-2 score that need no GED.
 type terms struct {
 	ccov, lcov, cog float64
@@ -167,17 +142,12 @@ func (sc *Context) queryLogFrequencyCtx(stdctx context.Context, p *graph.Graph, 
 	return float64(hits) / float64(len(log)), nil
 }
 
-// UpdateWeights applies the multiplicative weights update (Sec 5, n = 0.5)
-// after pattern p is selected: cluster weights of CSGs containing p are
-// halved, and so are the weights of edge labels occurring in p.
-func (ctx *Context) UpdateWeights(p *graph.Graph) {
-	_ = ctx.updateWeightsCtx(context.Background(), p)
-}
-
-// updateWeightsCtx is UpdateWeights with cooperative cancellation threaded
-// into the coverage engine. The containment verdicts for the just-selected
-// pattern are memo hits (scoring established them), so the update costs no
-// VF2 at all.
+// updateWeightsCtx applies the multiplicative weights update (Sec 5,
+// n = 0.5) after pattern p is selected: cluster weights of CSGs containing
+// p are halved, and so are the weights of edge labels occurring in p.
+// Cancellation is threaded into the coverage engine. The containment
+// verdicts for the just-selected pattern are memo hits (scoring
+// established them), so the update costs no VF2 at all.
 func (sc *Context) updateWeightsCtx(stdctx context.Context, p *graph.Graph) error {
 	const n = 0.5
 	verdicts, err := sc.coverEngine().Verdicts(stdctx, p)

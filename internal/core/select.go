@@ -9,6 +9,7 @@ import (
 	"repro/internal/canon"
 	"repro/internal/ged"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/resilience"
 )
@@ -55,7 +56,7 @@ func selectWith(stdctx context.Context, ctx *Context, b Budget, opts Options, pi
 	sizeCount := make(map[int]int)
 	var selectedGraphs []*graph.Graph
 	selectedSeen := make(map[string]struct{}) // canonical forms of selected patterns
-	var walks walkIndex                       // rebuilt per (round, CSG); storage reused
+	gen := newGenerator(ctx)
 
 	stopEarly := func(why string) {
 		resilience.Count(stdctx, "select_rounds", int64(res.Iterations))
@@ -106,35 +107,13 @@ func selectWith(stdctx context.Context, ctx *Context, b Budget, opts Options, pi
 			}
 
 			// Candidate generation: each (CSG, size) proposes one candidate,
-			// the random-walk FCP of Algorithm 4. Candidates isomorphic to an
-			// earlier candidate or to an already-selected pattern are dropped
-			// via canonical forms.
-			var cands []candidate
-			seen := make(map[string]struct{})
-			for _, ci := range ctx.proposingCSGs(opts.TopCSGs) {
-				walks.build(ctx, ctx.CSGs[ci])
-				for _, eta := range sizes {
-					p, err := walks.fcp(rctx, eta, opts.Walks, rng)
-					if err != nil {
-						roundErr = err
-						return
-					}
-					if p == nil {
-						continue
-					}
-					tr.Add(pipeline.CounterCandidatesGenerated, 1)
-					cf := canon.String(p)
-					if _, dup := seen[cf]; dup {
-						tr.Add(pipeline.CounterCandidatesRejected, 1)
-						continue
-					}
-					if _, dup := selectedSeen[cf]; dup {
-						tr.Add(pipeline.CounterCandidatesRejected, 1)
-						continue
-					}
-					seen[cf] = struct{}{}
-					cands = append(cands, candidate{p: p, source: ci})
-				}
+			// the random-walk FCP of Algorithm 4, generated in parallel over
+			// CSGs. Candidates isomorphic to an earlier candidate or to an
+			// already-selected pattern are dropped via canonical forms.
+			cands, err := gen.candidates(rctx, ctx.proposingCSGs(opts.TopCSGs), sizes, opts.Walks, rng, selectedSeen)
+			if err != nil {
+				roundErr = err
+				return
 			}
 			if len(cands) == 0 {
 				exhausted = true
@@ -207,22 +186,35 @@ type candidate struct {
 // win. The winner, its terms and every VF2 search are those of scoring
 // all candidates in proposal order; only the skipped GED searches are
 // saved, counted as CounterSelectBoundSkipped.
+//
+// The terms and bounds are computed in parallel, each candidate writing
+// only its own entry, and the first error in proposal order is returned.
+// A round's candidates are pairwise non-isomorphic, so no two of them
+// share a coverage memo entry, and the memo answers and counts the same
+// in any order. Exact scoring stays serial.
 func (sc *Context) bestCandidate(stdctx context.Context, cands []candidate, selected []*graph.Graph, opts Options) (*Pattern, error) {
 	needDiv := len(selected) > 0
 	order := make([]int, len(cands))
-	for i := range cands {
+	errs := make([]error, len(cands))
+	ferr := par.ForCtx(stdctx, len(cands), func(i int) {
+		order[i] = i
 		c := &cands[i]
-		t, err := sc.termsCtx(stdctx, c.p, opts)
+		if c.t, errs[i] = sc.termsCtx(stdctx, c.p, opts); errs[i] != nil {
+			return
+		}
+		divBound := 1.0
+		if needDiv && !c.t.zero {
+			divBound = float64(ged.Approx(c.p, nearestSelected(c.p, selected)))
+		}
+		c.bound = c.t.score(divBound, opts)
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		c.t = t
-		divBound := 1.0
-		if needDiv && !t.zero {
-			divBound = float64(ged.Approx(c.p, nearestSelected(c.p, selected)))
-		}
-		c.bound = t.score(divBound, opts)
-		order[i] = i
+	}
+	if ferr != nil {
+		return nil, ferr
 	}
 	sort.Slice(order, func(a, b int) bool {
 		ca, cb := &cands[order[a]], &cands[order[b]]
@@ -313,18 +305,4 @@ func (ctx *Context) proposingCSGs(top int) []int {
 	out := idx[:top]
 	sort.Ints(out)
 	return out
-}
-
-// isDuplicate reports whether p is isomorphic to a graph already recorded
-// under the same signature (signature equality is necessary for
-// isomorphism, so only those need the exact check). Isomorphism is decided
-// by canonical forms — one canon computation per pair instead of the old
-// VF2 double-containment.
-func isDuplicate(seen map[string][]*graph.Graph, p *graph.Graph) bool {
-	for _, q := range seen[p.Signature()] {
-		if canon.Equal(q, p) {
-			return true
-		}
-	}
-	return false
 }

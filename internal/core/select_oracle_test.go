@@ -17,6 +17,31 @@ import (
 	"repro/internal/pipeline"
 )
 
+// scoreWith computes the pattern score under the selection options, which
+// add the query-log factor to Eq 2 when a log is given.
+func (ctx *Context) scoreWith(p *graph.Graph, selected []*graph.Graph, opts Options) (score, ccov, lcov, div, cog float64) {
+	score, ccov, lcov, div, cog, _ = ctx.scoreWithCtx(context.Background(), p, selected, opts)
+	return score, ccov, lcov, div, cog
+}
+
+// scoreWithCtx is scoreWith with cooperative cancellation, threaded into
+// the VF2 coverage checks and the pruned min-GED diversity loop.
+func (sc *Context) scoreWithCtx(stdctx context.Context, p *graph.Graph, selected []*graph.Graph, opts Options) (score, ccov, lcov, div, cog float64, err error) {
+	t, err := sc.termsCtx(stdctx, p, opts)
+	if err != nil {
+		return 0, 0, 0, 0, 0, err
+	}
+	div = 1
+	if len(selected) > 0 {
+		d, _, derr := ged.MinDistanceCtx(stdctx, p, selected)
+		if derr != nil {
+			return 0, 0, 0, 0, 0, derr
+		}
+		div = float64(d)
+	}
+	return t.score(div, opts), t.ccov, t.lcov, div, t.cog, nil
+}
+
 // exhaustiveBest is the oracle for bestCandidate: every candidate is
 // scored exactly, exact min-GED included, in proposal order, and the first
 // largest positive score wins.
