@@ -48,7 +48,9 @@ race:
 
 # diff-race runs the differential tests — engines and kernels against their
 # test-file oracles (among them bound-ordered against exhaustive scoring,
-# the walk index against map walks, the array A* against the map A*, and
+# the walk index against map walks, dealt and parallel candidate
+# generation against the serial random stream
+# (TestDifferentialDealtGeneration), the array A* against the map A*, and
 # the array subgraph sampler against the map sampler), outputs across
 # worker counts — under -race and without result caching, so
 # cache-freshness never masks a divergence. Every suite runs under
