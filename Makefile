@@ -50,8 +50,11 @@ race:
 # test-file oracles (among them bound-ordered against exhaustive scoring,
 # the walk index against map walks, dealt and parallel candidate
 # generation against the serial random stream
-# (TestDifferentialDealtGeneration), the array A* against the map A*, and
-# the array subgraph sampler against the map sampler), outputs across
+# (TestDifferentialDealtGeneration), the array A* against the map A*, the
+# array subgraph sampler against the map sampler, and Maintainer refreshes
+# that keep untouched summaries and carry containment verdicts against
+# rebuilding every summary and selecting cold
+# (TestDifferentialRefreshReuse)), outputs across
 # worker counts — under -race and without result caching, so
 # cache-freshness never masks a divergence. Every suite runs under
 # GOMAXPROCS 1, 2 and 4, so a pass on one core cannot hide a scheduling

@@ -131,8 +131,9 @@ type Context struct {
 	labelGraphs map[string]*bitset.Set // graphs containing each edge label
 
 	// Coverage engine (internal/cover) over the CSG summary graphs, built
-	// lazily on first use.
+	// lazily on first use, as a successor of coverPrev when one is set.
 	coverOnce sync.Once
+	coverPrev *cover.Engine
 	coverEng  *cover.Engine
 
 	// Query-log engine, built lazily per log slice (Options.QueryLog is
@@ -190,15 +191,21 @@ func NewContextSized(db *graph.DB, csgs []*csg.CSG, effectiveSizes []float64) *C
 	return ctx
 }
 
-// coverEngine returns the lazily built coverage engine over the CSG summary
-// graphs.
-func (sc *Context) coverEngine() *cover.Engine {
+// CarryVerdicts makes the context's coverage engine a successor of prev
+// (cover.NewSuccessor): a CSG graph this context shares with prev's hosts
+// answers ccov's memo misses from prev's memo. It must be called before
+// the context is first used; a nil prev changes nothing.
+func (sc *Context) CarryVerdicts(prev *cover.Engine) { sc.coverPrev = prev }
+
+// CoverEngine returns the coverage engine over the CSG summary graphs,
+// building it on first use.
+func (sc *Context) CoverEngine() *cover.Engine {
 	sc.coverOnce.Do(func() {
 		hosts := make([]*graph.Graph, len(sc.CSGs))
 		for i, c := range sc.CSGs {
 			hosts[i] = c.G
 		}
-		sc.coverEng = cover.New(hosts)
+		sc.coverEng = cover.NewSuccessor(sc.coverPrev, hosts)
 	})
 	return sc.coverEng
 }
@@ -225,13 +232,4 @@ func sameGraphs(a, b []*graph.Graph) bool {
 		}
 	}
 	return true
-}
-
-// CoverStats returns a snapshot of the coverage engine's cache/pruning
-// activity (zero when the engine is not yet used).
-func (ctx *Context) CoverStats() cover.Stats {
-	if ctx.coverEng == nil {
-		return cover.Stats{}
-	}
-	return ctx.coverEng.Stats()
 }

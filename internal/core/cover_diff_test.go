@@ -212,7 +212,7 @@ func TestDifferentialSelect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s := sc.CoverStats(); s.Hits == 0 || s.Misses == 0 {
+			if s := sc.CoverEngine().Stats(); s.Hits == 0 || s.Misses == 0 {
 				t.Errorf("seed %d GOMAXPROCS %d: engine run had no cache activity: %+v", seed, procs, s)
 			}
 			if want == nil {

@@ -99,7 +99,7 @@ func benchCoverage(b *testing.B, naive bool) {
 	}
 	b.StopTimer()
 	if !naive && last != nil {
-		s := last.CoverStats()
+		s := last.CoverEngine().Stats()
 		b.ReportMetric(float64(s.Hits), "hits/op")
 		b.ReportMetric(float64(s.Misses), "misses/op")
 		b.ReportMetric(float64(s.Pruned), "pruned/op")

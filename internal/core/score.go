@@ -21,7 +21,7 @@ func (ctx *Context) CCov(p *graph.Graph) float64 {
 // the coverage engine (memoized, index-pruned, parallel); verdicts are
 // accumulated in ascending CSG order, so the sum is deterministic.
 func (sc *Context) ccovCtx(stdctx context.Context, p *graph.Graph) (float64, error) {
-	verdicts, err := sc.coverEngine().Verdicts(stdctx, p)
+	verdicts, err := sc.CoverEngine().Verdicts(stdctx, p)
 	if err != nil {
 		return 0, err
 	}
@@ -150,7 +150,7 @@ func (sc *Context) queryLogFrequencyCtx(stdctx context.Context, p *graph.Graph, 
 // established them), so the update costs no VF2 at all.
 func (sc *Context) updateWeightsCtx(stdctx context.Context, p *graph.Graph) error {
 	const n = 0.5
-	verdicts, err := sc.coverEngine().Verdicts(stdctx, p)
+	verdicts, err := sc.CoverEngine().Verdicts(stdctx, p)
 	if err != nil {
 		return err
 	}

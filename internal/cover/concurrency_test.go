@@ -21,7 +21,6 @@ import (
 func TestConcurrentVerdictsHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	hosts := dataset.AIDSLike(12, 21).Graphs
-	e := New(hosts)
 	pool := randomPatterns(hosts, 30, rng)
 
 	// Precompute the naive oracle per pattern.
@@ -33,36 +32,65 @@ func TestConcurrentVerdictsHammer(t *testing.T) {
 		}
 	}
 
-	const goroutines = 16
-	const iters = 40
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for w := 0; w < goroutines; w++ {
-		go func(w int) {
+	// A fresh engine, and a successor sharing all but one host with a
+	// predecessor that saw half the pool; the successor is detached
+	// while the workers run, as a refresh commits.
+	prev := New(hosts)
+	for _, p := range pool[:len(pool)/2] {
+		if _, err := prev.Verdicts(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	succHosts := append([]*graph.Graph(nil), hosts...)
+	succHosts[0] = hosts[0].Clone()
+	for name, e := range map[string]*Engine{"new": New(hosts), "successor": NewSuccessor(prev, succHosts)} {
+		const goroutines = 16
+		const iters = 40
+		var wg sync.WaitGroup
+		halfway := make(chan struct{})
+		atHalf := sync.OnceFunc(func() { close(halfway) })
+		wg.Add(goroutines + 1)
+		go func() {
 			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				pi := (w*iters + it) % len(pool)
-				got, err := e.Verdicts(context.Background(), pool[pi])
-				if err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
+			<-halfway
+			e.Detach()
+		}()
+		for w := 0; w < goroutines; w++ {
+			go func(w int) {
+				defer wg.Done()
+				if w == 0 {
+					defer atHalf()
 				}
-				for hi := range hosts {
-					if got[hi] != want[pi][hi] {
-						t.Errorf("worker %d: verdict[%d] = %v, want %v (pattern %d)",
-							w, hi, got[hi], want[pi][hi], pi)
+				for it := 0; it < iters; it++ {
+					if w == 0 && it == iters/2 {
+						atHalf()
+					}
+					pi := (w*iters + it) % len(pool)
+					got, err := e.Verdicts(context.Background(), pool[pi])
+					if err != nil {
+						t.Errorf("%s worker %d: %v", name, w, err)
 						return
 					}
+					for hi := range hosts {
+						if got[hi] != want[pi][hi] {
+							t.Errorf("%s worker %d: verdict[%d] = %v, want %v (pattern %d)",
+								name, w, hi, got[hi], want[pi][hi], pi)
+							return
+						}
+					}
 				}
-			}
-		}(w)
-	}
-	wg.Wait()
+			}(w)
+		}
+		wg.Wait()
 
-	s := e.Stats()
-	if total := s.Hits + s.Misses + s.Pruned; total != int64(goroutines*iters*len(hosts)) {
-		t.Errorf("hits+misses+pruned = %d, want %d (every (host, pattern) pair accounted)",
-			total, goroutines*iters*len(hosts))
+		s := e.Stats()
+		if total := s.Hits + s.Misses + s.Pruned; total != int64(goroutines*iters*len(hosts)) {
+			t.Errorf("%s: hits+misses+pruned = %d, want %d (every (host, pattern) pair accounted)",
+				name, total, goroutines*iters*len(hosts))
+		}
+		if name == "successor" && s.Carried == 0 {
+			t.Error("successor: no verdict was carried before the detach")
+		}
 	}
 }
 

@@ -18,6 +18,17 @@
 //  3. Parallel verification: the surviving cache misses are verified with
 //     VF2 via par.ForCtx, one search per canonically distinct host.
 //
+// Memoization also spans one predecessor engine. An engine built by
+// NewSuccessor answers a memo miss from its predecessor's memo whenever
+// the host is the very *graph.Graph the predecessor verified against, and
+// copies each verdict it carries into its own memo. Host identity, not the
+// host key, is the test: identity keys ("id:<index>") only mean something
+// inside the engine that assigned them. Containment is a pure function of
+// (host, pattern up to isomorphism) and hosts are never mutated, so a
+// carried verdict is the verdict VF2 would establish. Detach cuts the
+// link, so a chain of successors that detaches each engine once its
+// successor exists keeps at most two generations of memo reachable.
+//
 // Results are deterministic: a verdict batch is a pure function of (hosts,
 // pattern), independent of scheduling, cache state and pruning, which the
 // differential tests in internal/core assert against a naive sequential
@@ -50,6 +61,9 @@ type Stats struct {
 	// VF2Calls counts VF2 searches run (one per canonically distinct
 	// missing host per batch, so it can be below Misses).
 	VF2Calls int64
+	// Carried counts the hits served from the predecessor's memo
+	// (included in Hits).
+	Carried int64
 }
 
 // Engine evaluates containment of patterns against a fixed host set.
@@ -61,8 +75,13 @@ type Engine struct {
 
 	mu   sync.RWMutex
 	memo map[pairKey]bool
+	// prev is the predecessor whose memo answers misses (nil when there
+	// is none or after Detach); carry[i] is host i's key in prev, "" when
+	// host i is none of prev's hosts. Both are guarded by mu.
+	prev  *Engine
+	carry []string
 
-	hits, misses, pruned, vf2 atomic.Int64
+	hits, misses, pruned, vf2, carried atomic.Int64
 }
 
 // pairKey identifies a (host, pattern) containment question up to
@@ -94,6 +113,43 @@ func New(hosts []*graph.Graph) *Engine {
 	return e
 }
 
+// NewSuccessor builds an engine over hosts, like New, whose memo misses
+// are first answered from prev's memo for every host that is the same
+// *graph.Graph as one of prev's hosts. An isomorphic copy of a prev host
+// carries nothing. NewSuccessor(nil, hosts) is New(hosts). prev is only
+// read, never written, so it keeps answering exactly what it did.
+func NewSuccessor(prev *Engine, hosts []*graph.Graph) *Engine {
+	e := New(hosts)
+	if prev == nil {
+		return e
+	}
+	at := make(map[*graph.Graph]int, len(prev.hosts))
+	for j := len(prev.hosts) - 1; j >= 0; j-- {
+		at[prev.hosts[j]] = j
+	}
+	carry := make([]string, len(e.hosts))
+	shared := false
+	for i, h := range e.hosts {
+		if j, ok := at[h]; ok {
+			carry[i] = prev.hostKeys[j]
+			shared = true
+		}
+	}
+	if shared {
+		e.prev, e.carry = prev, carry
+	}
+	return e
+}
+
+// Detach cuts the engine's link to its predecessor; later misses are
+// established by VF2. Verdicts already carried stay in the engine's own
+// memo.
+func (e *Engine) Detach() {
+	e.mu.Lock()
+	e.prev, e.carry = nil, nil
+	e.mu.Unlock()
+}
+
 // NumHosts returns the number of hosts the engine evaluates against.
 func (e *Engine) NumHosts() int { return len(e.hosts) }
 
@@ -115,6 +171,7 @@ func (e *Engine) Stats() Stats {
 		Misses:   e.misses.Load(),
 		Pruned:   e.pruned.Load(),
 		VF2Calls: e.vf2.Load(),
+		Carried:  e.carried.Load(),
 	}
 }
 
@@ -140,11 +197,14 @@ func (e *Engine) Verdicts(stdctx context.Context, p *graph.Graph) ([]bool, error
 		patKey = canon.String(p)
 	}
 
-	// Memo lookup for the candidates; collect the misses.
-	var missHosts []int
+	// Memo lookup for the candidates; collect the misses. A miss on a
+	// host the predecessor shares is answered from the predecessor's memo
+	// when it holds the verdict.
+	var missHosts, carriedHosts []int
 	var hitsN int64
 	if useMemo {
 		e.mu.RLock()
+		prev, carry := e.prev, e.carry
 		for _, hi := range cands {
 			if v, ok := e.memo[pairKey{e.hostKeys[hi], patKey}]; ok {
 				verdicts[hi] = v
@@ -154,6 +214,9 @@ func (e *Engine) Verdicts(stdctx context.Context, p *graph.Graph) ([]bool, error
 			}
 		}
 		e.mu.RUnlock()
+		if prev != nil && len(missHosts) > 0 {
+			missHosts, carriedHosts = prev.carryInto(verdicts, missHosts, carry, patKey)
+		}
 	} else {
 		missHosts = cands
 	}
@@ -182,10 +245,15 @@ func (e *Engine) Verdicts(stdctx context.Context, p *graph.Graph) ([]bool, error
 		}
 	}
 
-	if useMemo && len(reps) > 0 {
+	// The batch succeeded: cache its VF2 results and the verdicts it
+	// carried, in one write.
+	if useMemo && len(reps)+len(carriedHosts) > 0 {
 		e.mu.Lock()
 		for i, hi := range reps {
 			e.memo[pairKey{e.hostKeys[hi], patKey}] = results[i]
+		}
+		for _, hi := range carriedHosts {
+			e.memo[pairKey{e.hostKeys[hi], patKey}] = verdicts[hi]
 		}
 		e.mu.Unlock()
 	}
@@ -193,6 +261,8 @@ func (e *Engine) Verdicts(stdctx context.Context, p *graph.Graph) ([]bool, error
 		verdicts[hi] = results[repOf[e.hostKeys[hi]]]
 	}
 
+	hitsN += int64(len(carriedHosts))
+	e.carried.Add(int64(len(carriedHosts)))
 	e.hits.Add(hitsN)
 	e.misses.Add(int64(len(missHosts)))
 	e.pruned.Add(prunedN)
@@ -207,6 +277,25 @@ func (e *Engine) Verdicts(stdctx context.Context, p *graph.Graph) ([]bool, error
 		tr.Add(pipeline.CounterCoverPruned, prunedN)
 	}
 	return verdicts, nil
+}
+
+// carryInto answers the misses whose host key in e (carry[hi]) has a
+// verdict for patKey in e's memo: each is written into verdicts and
+// returned in carried, the rest are returned in missing.
+func (e *Engine) carryInto(verdicts []bool, misses []int, carry []string, patKey string) (missing, carried []int) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for _, hi := range misses {
+		if k := carry[hi]; k != "" {
+			if v, ok := e.memo[pairKey{k, patKey}]; ok {
+				verdicts[hi] = v
+				carried = append(carried, hi)
+				continue
+			}
+		}
+		missing = append(missing, hi)
+	}
+	return missing, carried
 }
 
 // Count returns the number of hosts containing p.
