@@ -363,10 +363,8 @@ func TestSelectNoDuplicatePatterns(t *testing.T) {
 	for i := 0; i < len(res.Patterns); i++ {
 		for j := i + 1; j < len(res.Patterns); j++ {
 			a, b := res.Patterns[i].Graph, res.Patterns[j].Graph
+			// Full isomorphism check for every same-signature pair.
 			if a.Signature() == b.Signature() {
-				d, _, _, _, _ := ctx.ScorePattern(a, []*graph.Graph{b})
-				_ = d
-				// Full isomorphism check.
 				if isDuplicate(map[string][]*graph.Graph{a.Signature(): {b}}, a) {
 					t.Errorf("patterns %d and %d are isomorphic", i, j)
 				}

@@ -66,9 +66,6 @@ type Searcher struct {
 	gainStack [][]int32
 }
 
-// NewSearcher returns an empty searcher ready for use.
-func NewSearcher() *Searcher { return new(Searcher) }
-
 var searcherPool = sync.Pool{New: func() any { return new(Searcher) }}
 
 func resetIDs(s []int32, n int) []int32 {
@@ -278,22 +275,6 @@ func candLess(a pair32, ga int32, b pair32, gb int32) bool {
 	return a.v2 < b.v2
 }
 
-// SimilarityMCCS returns ωmccs(f1,f2) within the given node budget
-// (DefaultBudget if budget <= 0), reusing the searcher's scratch. Zero
-// allocations once the scratch is warm and the frozen pair repeats.
-func (s *Searcher) SimilarityMCCS(f1, f2 *graph.Frozen, budget int) float64 {
-	m := min(f1.NumEdges(), f2.NumEdges())
-	if m == 0 {
-		return 0
-	}
-	if budget <= 0 {
-		budget = DefaultBudget
-	}
-	s.prepare(f1, f2, nil, nil, budget)
-	s.run(nil)
-	return float64(s.bestEdge) / float64(m)
-}
-
 // exhausted reports whether the last search stopped at its node budget.
 func (s *Searcher) exhausted() bool { return s.nodes >= s.budget }
 
@@ -308,43 +289,6 @@ func (s *Searcher) count(ctx context.Context) {
 	if s.exhausted() {
 		tr.Add(pipeline.CounterMCSBudgetExhausted, 1)
 	}
-}
-
-func (s *Searcher) result() Result {
-	var pairs []Pair
-	if len(s.best) > 0 {
-		pairs = make([]Pair, len(s.best))
-		for i, p := range s.best {
-			pairs[i] = Pair{graph.VertexID(p.v1), graph.VertexID(p.v2)}
-		}
-	}
-	return Result{Pairs: pairs, Edges: s.bestEdge, Exhausted: s.exhausted()}
-}
-
-// MCCSCtx returns a maximum connected common subgraph of g1 and g2 within
-// the given node budget (DefaultBudget if budget <= 0), with cooperative
-// cancellation: the backtracking search polls ctx at node-expansion
-// boundaries and returns ctx.Err() when cancelled. Each call is counted on
-// the context's pipeline tracer (CounterMCSCalls) with the nodes its search
-// expanded (CounterMCSNodes), and a search stopped by its node budget also
-// as CounterMCSBudgetExhausted. Both graphs are frozen on first use
-// (memoized on the graphs) and the search runs on the CSR form.
-func MCCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (Result, error) {
-	pipeline.From(ctx).Add(pipeline.CounterMCSCalls, 1)
-	if budget <= 0 {
-		budget = DefaultBudget
-	}
-	s := searcherPool.Get().(*Searcher)
-	s.prepare(g1.Freeze(), g2.Freeze(), nil, nil, budget)
-	s.run(ctx)
-	if err := s.ctxErr; err != nil {
-		searcherPool.Put(s)
-		return Result{}, err
-	}
-	s.count(ctx)
-	r := s.result()
-	searcherPool.Put(s)
-	return r, nil
 }
 
 // MCSCtx returns a maximum common subgraph (possibly disconnected),

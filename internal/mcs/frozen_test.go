@@ -44,7 +44,7 @@ func TestFrozenSearcherMatchesLegacy(t *testing.T) {
 		for _, budget := range []int{30, 500, DefaultBudget} {
 			want, wantNodes := legacyMCCSNodes(g1, g2, budget)
 			rec := pipeline.NewRecorder()
-			got, err := MCCSCtx(pipeline.WithTrace(ctx, rec), g1, g2, budget)
+			got, err := mccsCtx(pipeline.WithTrace(ctx, rec), g1, g2, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestFrozenSearcherMatchesLegacy(t *testing.T) {
 // the nodes it expanded, and leave the gain matrix all zero.
 func TestFrozenSearcherMatchesLegacyOnMolecules(t *testing.T) {
 	db := dataset.AIDSLike(24, 3)
-	s := NewSearcher()
+	s := new(Searcher)
 	// check runs the Searcher on (g1, g2) under the masks and the oracle on
 	// (o1, o2), where the masked vertices carry sentinel labels.
 	check := func(what string, g1, g2, o1, o2 *graph.Graph, alive1, alive2 []bool, budget int) Result {
@@ -167,10 +167,16 @@ func TestMCSZeroAllocSteadyState(t *testing.T) {
 	g2 := randomGraph(rng, 10, 14, labels)
 	f1, f2 := g1.Freeze(), g2.Freeze()
 
-	s := NewSearcher()
-	want := s.SimilarityMCCS(f1, f2, 3000) // warm scratch and seed cache
+	s := new(Searcher)
+	// sim is ωmccs(f1, f2) on s's scratch, as SimilarityMCCSCtx computes it.
+	sim := func() float64 {
+		s.prepare(f1, f2, nil, nil, 3000)
+		s.run(nil)
+		return float64(s.bestEdge) / float64(min(f1.NumEdges(), f2.NumEdges()))
+	}
+	want := sim() // warm scratch and seed cache
 	allocs := testing.AllocsPerRun(100, func() {
-		if got := s.SimilarityMCCS(f1, f2, 3000); got != want {
+		if got := sim(); got != want {
 			t.Fatalf("similarity changed across runs: %v vs %v", got, want)
 		}
 	})

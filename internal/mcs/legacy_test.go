@@ -25,7 +25,7 @@ type legacySearcher struct {
 	minE     int
 }
 
-// legacyMCCS is the oracle for MCCSCtx.
+// legacyMCCS is the oracle for the Searcher (mccsCtx).
 func legacyMCCS(g1, g2 *graph.Graph, budget int) Result {
 	r, _ := legacyMCCSNodes(g1, g2, budget)
 	return r

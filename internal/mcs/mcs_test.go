@@ -7,14 +7,47 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/pipeline"
 	"repro/internal/subiso"
 )
+
+// mccsCtx returns a maximum connected common subgraph of g1 and g2 within
+// the given node budget (DefaultBudget if budget <= 0): the search
+// SimilarityMCCSCtx runs, with its mapping kept and counted the same way
+// (CounterMCSCalls, CounterMCSNodes and, for a search stopped by its
+// budget, CounterMCSBudgetExhausted).
+func mccsCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (Result, error) {
+	pipeline.From(ctx).Add(pipeline.CounterMCSCalls, 1)
+	if budget <= 0 {
+		budget = DefaultBudget
+	}
+	s := new(Searcher)
+	s.prepare(g1.Freeze(), g2.Freeze(), nil, nil, budget)
+	s.run(ctx)
+	if err := s.ctxErr; err != nil {
+		return Result{}, err
+	}
+	s.count(ctx)
+	return s.result(), nil
+}
+
+// result is the best mapping of the last search.
+func (s *Searcher) result() Result {
+	var pairs []Pair
+	if len(s.best) > 0 {
+		pairs = make([]Pair, len(s.best))
+		for i, p := range s.best {
+			pairs[i] = Pair{graph.VertexID(p.v1), graph.VertexID(p.v2)}
+		}
+	}
+	return Result{Pairs: pairs, Edges: s.bestEdge, Exhausted: s.exhausted()}
+}
 
 // Background-context conveniences for the Ctx search entry points used
 // throughout these tests; context.Background is never cancelled, so the
 // error leg is structurally nil.
 func mccs(g1, g2 *graph.Graph, budget int) Result {
-	r, _ := MCCSCtx(context.Background(), g1, g2, budget)
+	r, _ := mccsCtx(context.Background(), g1, g2, budget)
 	return r
 }
 

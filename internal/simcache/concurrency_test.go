@@ -132,7 +132,7 @@ func TestCancelMidBatchNoLeakNoPartialCache(t *testing.T) {
 	}
 
 	// The aborted batch cached nothing...
-	if n := eng.MemoSize(); n != 0 {
+	if n := len(eng.memo); n != 0 {
 		t.Fatalf("cancelled batch left %d partially cached pairs", n)
 	}
 	// ...and a fresh run still matches the sequential path exactly.
@@ -146,7 +146,7 @@ func TestCancelMidBatchNoLeakNoPartialCache(t *testing.T) {
 			t.Errorf("post-cancel sim[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if eng.MemoSize() != 3 {
-		t.Errorf("completed batch cached %d pairs, want 3", eng.MemoSize())
+	if len(eng.memo) != 3 {
+		t.Errorf("completed batch cached %d pairs, want 3", len(eng.memo))
 	}
 }

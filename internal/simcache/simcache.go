@@ -124,13 +124,6 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// MemoSize returns the number of cached pair results.
-func (e *Engine) MemoSize() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.memo)
-}
-
 // keyOf returns the cache key and representative graph of index i,
 // computing and caching them on first use. Graphs that are empty, exceed
 // canon.MaxKeyVertices, or carry labels the canonical encoding cannot
@@ -179,16 +172,6 @@ func (e *Engine) pairOf(i, j int) (pairKey, *graph.Graph, *graph.Graph) {
 		ki, kj, ri, rj = kj, ki, rj, ri
 	}
 	return pairKey{ki, kj}, ri, rj
-}
-
-// SimilarityCtx returns the similarity of graphs i and j of the engine's
-// universe.
-func (e *Engine) SimilarityCtx(ctx context.Context, i, j int) (float64, error) {
-	out, err := e.BatchCtx(ctx, []int{i}, j)
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
 }
 
 // BatchCtx returns the similarity of (members[k], target) for every k, in

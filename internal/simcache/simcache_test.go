@@ -111,8 +111,8 @@ func TestCanonicalSharingWithinBatch(t *testing.T) {
 	if s.Pruned != 2 || s.Searches != 1 {
 		t.Errorf("stats = %+v, want 2 pruned and 1 search for 3 isomorphic pairs", s)
 	}
-	if eng.MemoSize() != 1 {
-		t.Errorf("memo holds %d entries, want 1", eng.MemoSize())
+	if len(eng.memo) != 1 {
+		t.Errorf("memo holds %d entries, want 1", len(eng.memo))
 	}
 
 	// A repeat batch is pure cache hits.
@@ -134,19 +134,15 @@ func TestSelfSimilarityAndEmpty(t *testing.T) {
 	empty := graph.New(0, 0)
 	eng := New([]*graph.Graph{g, empty}, Options{})
 
-	s, err := eng.SimilarityCtx(context.Background(), 0, 0)
+	s, err := eng.BatchCtx(context.Background(), []int{0, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s != 1 {
-		t.Errorf("self similarity = %v, want 1", s)
+	if s[0] != 1 {
+		t.Errorf("self similarity = %v, want 1", s[0])
 	}
-	s, err = eng.SimilarityCtx(context.Background(), 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 0 {
-		t.Errorf("similarity against empty graph = %v, want 0", s)
+	if s[1] != 0 {
+		t.Errorf("similarity against empty graph = %v, want 0", s[1])
 	}
 }
 
