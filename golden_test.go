@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/pipeline"
 )
 
 // The golden suite pins the full output of SelectCtx — clusters, effective
@@ -118,10 +119,15 @@ func goldenInputs(t *testing.T) []goldenInput {
 // bits renders a float64 exactly, with its decimal value for the reader.
 func bits(v float64) string { return fmt.Sprintf("%016x (%v)", math.Float64bits(v), v) }
 
-// renderGolden writes one selection result in the golden text format.
+// renderGolden writes one selection result in the golden text format. The
+// MCS counters pin how many search nodes fine clustering expanded, so a
+// kernel change that keeps every result but explores differently shows.
 func renderGolden(b *bytes.Buffer, name string, res *catapult.Result) {
 	fmt.Fprintf(b, "== %s\n", name)
 	fmt.Fprintf(b, "exhausted %v\n", res.Exhausted)
+	fmt.Fprintf(b, "mcs_calls %d mcs_nodes %d mcs_budget_exhausted %d\n",
+		res.Counters[pipeline.CounterMCSCalls], res.Counters[pipeline.CounterMCSNodes],
+		res.Counters[pipeline.CounterMCSBudgetExhausted])
 	fmt.Fprintf(b, "clusters %d\n", len(res.Clusters))
 	for i, c := range res.Clusters {
 		fmt.Fprintf(b, "cluster %d size %s members %v\n", i, bits(res.EffectiveSizes[i]), c)
