@@ -88,52 +88,118 @@ func TestFrozenSearcherMatchesLegacy(t *testing.T) {
 // MCS; the first molecule is also searched against its own canonical
 // representative, where the search closes rings and gains rise above 1.
 // Every search must agree with the oracle on pairs, edges, exhaustion and
-// the nodes it expanded, and leave the gain matrix all zero.
+// the nodes it expanded, and leave the gain matrix all zero and the replay
+// and candidate stacks empty.
 func TestFrozenSearcherMatchesLegacyOnMolecules(t *testing.T) {
 	db := dataset.AIDSLike(24, 3)
 	s := new(Searcher)
-	// check runs the Searcher on (g1, g2) under the masks and the oracle on
-	// (o1, o2), where the masked vertices carry sentinel labels.
-	check := func(what string, g1, g2, o1, o2 *graph.Graph, alive1, alive2 []bool, budget int) Result {
-		t.Helper()
-		want, wantNodes := legacyMCCSNodes(o1, o2, budget)
-		s.prepare(g1.Freeze(), g2.Freeze(), alive1, alive2, budget)
-		s.run(context.Background())
-		if got := s.result(); !reflect.DeepEqual(got, want) || s.nodes != wantNodes {
-			t.Fatalf("%s, budget %d: MCCS diverges\n frozen: %+v (%d nodes)\n legacy: %+v (%d nodes)",
-				what, budget, got, s.nodes, want, wantNodes)
-		}
-		for i, g := range s.gains {
-			if g != 0 {
-				t.Fatalf("%s, budget %d: gain cell (%d, %d) = %d after the search, want 0",
-					what, budget, i/s.n2, i%s.n2, g)
-			}
-		}
-		return want
-	}
 	for i := 0; i+1 < db.Len(); i += 2 {
 		g1, g2 := db.Graph(i), db.Graph(i+1)
 		r1, r2 := canonicalRep(t, g1), canonicalRep(t, g2)
 		for _, budget := range []int{4000, 20000} {
-			check("generated", g1, g2, g1, g2, nil, nil, budget)
-			check("canonical", r1, r2, r1, r2, nil, nil, budget)
-			check("self", g1, r1, g1, r1, nil, nil, budget)
-			h1, h2 := g1.Clone(), g2.Clone()
-			alive1, alive2 := allAlive(g1.NumVertices()), allAlive(g2.NumVertices())
-			for round := 0; ; round++ {
-				r := check(fmt.Sprintf("MCS round %d", round), g1, g2, h1, h2, alive1, alive2, budget)
-				if r.Edges == 0 {
-					break
-				}
-				for _, p := range r.Pairs {
-					h1.SetLabel(p.V1, tomb)
-					h2.SetLabel(p.V2, tomb+"2")
-					alive1[p.V1], alive2[p.V2] = false, false
-				}
-			}
+			checkOracle(t, s, "generated", g1, g2, g1, g2, nil, nil, budget)
+			checkOracle(t, s, "canonical", r1, r2, r1, r2, nil, nil, budget)
+			checkOracle(t, s, "self", g1, r1, g1, r1, nil, nil, budget)
+			checkMCSRounds(t, s, g1, g2, budget)
 		}
 	}
 }
+
+// checkOracle runs s on (g1, g2) under the masks and the oracle on (o1,
+// o2), where the masked vertices carry sentinel labels, and demands equal
+// results and node counts and a clean Searcher afterwards.
+func checkOracle(t *testing.T, s *Searcher, what string, g1, g2, o1, o2 *graph.Graph, alive1, alive2 []bool, budget int) Result {
+	t.Helper()
+	want, wantNodes := legacyMCCSNodes(o1, o2, budget)
+	s.prepare(g1.Freeze(), g2.Freeze(), alive1, alive2, budget)
+	s.run(context.Background())
+	if got := s.result(); !reflect.DeepEqual(got, want) || s.nodes != wantNodes {
+		t.Fatalf("%s, budget %d: MCCS diverges\n frozen: %+v (%d nodes)\n legacy: %+v (%d nodes)",
+			what, budget, got, s.nodes, want, wantNodes)
+	}
+	checkClean(t, s, fmt.Sprintf("%s, budget %d", what, budget))
+	return want
+}
+
+// checkMCSRounds runs the masked rounds of MCS on (g1, g2) through
+// checkOracle, masking each round's mapping for the next as MCSCtx does.
+func checkMCSRounds(t *testing.T, s *Searcher, g1, g2 *graph.Graph, budget int) {
+	t.Helper()
+	h1, h2 := g1.Clone(), g2.Clone()
+	alive1, alive2 := allAlive(g1.NumVertices()), allAlive(g2.NumVertices())
+	for round := 0; ; round++ {
+		r := checkOracle(t, s, fmt.Sprintf("MCS round %d", round), g1, g2, h1, h2, alive1, alive2, budget)
+		if r.Edges == 0 {
+			return
+		}
+		for _, p := range r.Pairs {
+			h1.SetLabel(p.V1, tomb)
+			h2.SetLabel(p.V2, tomb+"2")
+			alive1[p.V1], alive2[p.V2] = false, false
+		}
+	}
+}
+
+// checkClean demands what every finished search leaves: an all-zero gain
+// matrix, no standing placement and empty replay and candidate stacks.
+func checkClean(t *testing.T, s *Searcher, what string) {
+	t.Helper()
+	for i, g := range s.gains {
+		if g != 0 {
+			t.Fatalf("%s: gain cell (%d, %d) = %d after the search, want 0", what, i/s.n2, i%s.n2, g)
+		}
+	}
+	if len(s.cur) != 0 || len(s.replay) != 0 || len(s.cands) != 0 {
+		t.Fatalf("%s: %d placements, %d replay cells and %d candidates left after the search",
+			what, len(s.cur), len(s.replay), len(s.cands))
+	}
+}
+
+// TestCancelledSearchLeavesCleanSearcher cancels a search at its first
+// poll and abandons another mid-flight, as a panic escaping a pooled
+// Searcher would, and demands that the Searcher then search exactly as
+// the oracle does. The cancelled search must unwind by itself; the
+// abandoned one leaves raised cells and full stacks that prepare resets.
+func TestCancelledSearchLeavesCleanSearcher(t *testing.T) {
+	db := dataset.AIDSLike(24, 3)
+	g1, g2 := db.Graph(0), db.Graph(1)
+	h1, h2 := db.Graph(2), db.Graph(3)
+	s := new(Searcher)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.prepare(g1.Freeze(), g2.Freeze(), nil, nil, 20000)
+	s.run(ctx)
+	if s.ctxErr == nil || s.nodes != ctxCheckMask {
+		t.Fatalf("cancelled search: err %v after %d nodes, want the first poll to stop it at %d",
+			s.ctxErr, s.nodes, ctxCheckMask)
+	}
+	checkClean(t, s, "cancelled search")
+	checkOracle(t, s, "after cancel", g1, g2, g1, g2, nil, nil, 20000)
+	checkMCSRounds(t, s, h1, h2, 4000)
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the poll did not panic")
+			}
+		}()
+		s.prepare(g1.Freeze(), g2.Freeze(), nil, nil, 20000)
+		s.run(panicOnPoll{context.Background()})
+	}()
+	if len(s.replay) == 0 || len(s.cands) == 0 {
+		t.Fatalf("abandoned search left %d replay cells and %d candidates; want both stacks in use",
+			len(s.replay), len(s.cands))
+	}
+	checkOracle(t, s, "after abandon", g1, g2, g1, g2, nil, nil, 20000)
+	checkMCSRounds(t, s, h1, h2, 4000)
+}
+
+// panicOnPoll is a context whose Err panics, abandoning the search that
+// polls it.
+type panicOnPoll struct{ context.Context }
+
+func (panicOnPoll) Err() error { panic("poll") }
 
 func canonicalRep(t *testing.T, g *graph.Graph) *graph.Graph {
 	t.Helper()
