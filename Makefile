@@ -25,6 +25,9 @@ ci: check diff-race chaos chaos-store api-lock serve-race bignet-race bench-gate
 # root identifier references an internal/ type with no root-package alias,
 # and the external-consumer smoke builds testdata/extconsumer (a separate
 # module) against the facade using only catapult.* names.
+# TestAPILockSettableValues lists every value a caller can set through
+# Config, PatternServerOptions and NetworkLoadOptions, so a new knob fails
+# it until the list in api_lock_settable_test.go is edited.
 api-lock:
 	$(GO) test -count=1 -run 'TestAPILock|TestExternalConsumer' .
 
