@@ -106,36 +106,3 @@ func TestDifferentialSuggestMemoInvariant(t *testing.T) {
 		}
 	}
 }
-
-// TestDifferentialSuggestMCSModeDeterministic pins the MCS ranking mode
-// the same way (its MCCS searches have their own budgeted search trees).
-func TestDifferentialSuggestMCSModeDeterministic(t *testing.T) {
-	ps, qs := diffFixture(5)
-	if len(qs) > 4 {
-		qs = qs[:4] // MCCS is the expensive ranking mode; a few queries suffice
-	}
-	opts := Options{Budget: -1, TopK: 6, MCS: true, MCSBudget: 20000}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var baseline []*Result
-	for _, procs := range []int{1, runtime.NumCPU()} {
-		runtime.GOMAXPROCS(procs)
-		eng := NewEngine(ps)
-		var got []*Result
-		for _, q := range qs {
-			res, err := eng.SuggestCtx(context.Background(), q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, stripElapsed(res))
-		}
-		if baseline == nil {
-			baseline = got
-			continue
-		}
-		for i := range got {
-			if !reflect.DeepEqual(baseline[i], got[i]) {
-				t.Fatalf("MCS mode procs %d query %d: ranking diverged", procs, i)
-			}
-		}
-	}
-}

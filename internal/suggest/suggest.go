@@ -18,10 +18,9 @@
 //     and near-misses.
 //  3. Rank: completions are ranked by closeness — for a verified
 //     container the graph edit distance is exactly the completion delta
-//     |Vp|-|Vq| + |Ep|-|Eq|; for a near-miss it is the A*/bipartite GED
-//     (or the MCCS overlap in MCS mode) — weighted by the pattern's
-//     selection score (Eq 2), so a high-value pattern outranks an equally
-//     close low-value one.
+//     |Vp|-|Vq| + |Ep|-|Eq|; for a near-miss it is the A*/bipartite GED —
+//     weighted by the pattern's selection score (Eq 2), so a high-value
+//     pattern outranks an equally close low-value one.
 //
 // Everything runs under a per-keystroke soft budget (~100ms) carried by a
 // resilience.Controller. The engine degrades instead of blocking or
@@ -46,7 +45,6 @@ import (
 	"repro/internal/cover"
 	"repro/internal/ged"
 	"repro/internal/graph"
-	"repro/internal/mcs"
 	"repro/internal/pipeline"
 	"repro/internal/resilience"
 )
@@ -59,9 +57,10 @@ const DefaultTopK = 5
 // interactive query interfaces aim for.
 const DefaultBudget = 100 * time.Millisecond
 
-// DefaultMaxCandidates caps how many pruned candidates enter the ranking
-// loop when Options.MaxCandidates is zero.
-const DefaultMaxCandidates = 64
+// maxCandidates caps the candidates entering the ranking loop, highest-
+// scored first. The cap bounds worst-case ranking work before the budget's
+// dynamic prefix cut even starts.
+const maxCandidates = 64
 
 // Options configures one SuggestCtx call. The zero value asks for the
 // defaults; fields are independent knobs, so a caller can e.g. raise TopK
@@ -74,18 +73,6 @@ type Options struct {
 	// negative disables budgeting entirely — the call then never degrades
 	// and its ranking is deterministic (the differential-test mode).
 	Budget time.Duration
-	// MaxCandidates caps the candidates entering the ranking loop,
-	// highest-scored first (default DefaultMaxCandidates; negative means
-	// unlimited). The cap bounds worst-case ranking work before the
-	// budget's dynamic prefix cut even starts.
-	MaxCandidates int
-	// MCS ranks near-miss candidates by MCCS overlap instead of graph
-	// edit distance. Verified completions rank identically either way
-	// (their distance and overlap are both exact by containment).
-	MCS bool
-	// MCSBudget is the node budget per MCCS search in MCS mode
-	// (default mcs.DefaultBudget).
-	MCSBudget int
 }
 
 func (o *Options) defaults() {
@@ -94,9 +81,6 @@ func (o *Options) defaults() {
 	}
 	if o.Budget == 0 {
 		o.Budget = DefaultBudget
-	}
-	if o.MaxCandidates == 0 {
-		o.MaxCandidates = DefaultMaxCandidates
 	}
 }
 
@@ -118,8 +102,8 @@ type Suggestion struct {
 	// ladder's GED downgrade).
 	Approx bool `json:"approx"`
 	// Overlap is the shared fraction of combined pattern elements in
-	// [0,1]: exact for a verified container, the MCCS similarity in MCS
-	// mode, and a distance-derived estimate otherwise.
+	// [0,1]: exact for a verified container and a distance-derived
+	// estimate otherwise.
 	Overlap float64 `json:"overlap"`
 	// Rank is the final ordering weight (higher first): closeness
 	// weighted by the selection score. Contained suggestions always sort
@@ -138,7 +122,7 @@ type Stats struct {
 	Patterns int `json:"patterns"`
 	// Candidates survived gindex pruning.
 	Candidates int `json:"candidates"`
-	// Capped counts candidates dropped by Options.MaxCandidates.
+	// Capped counts candidates dropped by the ranking loop's cap of 64.
 	Capped int `json:"capped"`
 	// Verified reports that containment verification completed; false
 	// means the budget (or a contained fault) degraded the call to the
@@ -303,9 +287,9 @@ func (e *Engine) SuggestCtx(ctx context.Context, q *graph.Graph, opts Options) (
 		}
 		return a.idx < b.idx
 	})
-	if opts.MaxCandidates > 0 && len(list) > opts.MaxCandidates {
-		res.Stats.Capped = len(list) - opts.MaxCandidates
-		list = list[:opts.MaxCandidates]
+	if len(list) > maxCandidates {
+		res.Stats.Capped = len(list) - maxCandidates
+		list = list[:maxCandidates]
 	}
 
 	// Rank. The loop polls the budget between candidates; an overrun
@@ -319,14 +303,7 @@ func (e *Engine) SuggestCtx(ctx context.Context, q *graph.Graph, opts Options) (
 			break
 		}
 		tr.Add(pipeline.CounterSuggestRanked, 1)
-		s, err := e.rank(ctx, ctrl, res, q, qa, c.idx, c.contained, opts)
-		if err != nil {
-			return nil, err
-		}
-		if s == nil { // salvageable cut inside one ranking step
-			break
-		}
-		res.Suggestions = append(res.Suggestions, *s)
+		res.Suggestions = append(res.Suggestions, e.rank(ctx, ctrl, res, q, qa, c.idx, c.contained))
 		res.Stats.Ranked++
 		if c.contained {
 			res.Stats.Contained++
@@ -350,14 +327,13 @@ func (e *Engine) SuggestCtx(ctx context.Context, q *graph.Graph, opts Options) (
 	return res, nil
 }
 
-// rank scores one candidate. A nil, nil return means a salvageable budget
-// cut happened inside the step (MCS mode only; GED steps never block on
-// the context) and the caller should keep its prefix.
+// rank scores one candidate. It never blocks on the context: past half
+// the budget it downgrades exact GED to the bipartite approximation.
 func (e *Engine) rank(ctx context.Context, ctrl *resilience.Controller, res *Result,
-	q *graph.Graph, qa int, idx int, contained bool, opts Options) (*Suggestion, error) {
+	q *graph.Graph, qa int, idx int, contained bool) Suggestion {
 	p := e.patterns[idx]
 	pa := p.Graph.NumVertices() + p.Graph.NumEdges()
-	s := &Suggestion{Pattern: idx, Score: p.Score, Contained: contained}
+	s := Suggestion{Pattern: idx, Score: p.Score, Contained: contained}
 	switch {
 	case contained:
 		// The partial embeds into the pattern, so the cheapest edit path
@@ -368,17 +344,6 @@ func (e *Engine) rank(ctx context.Context, ctrl *resilience.Controller, res *Res
 		if pa > 0 {
 			s.Overlap = float64(qa) / float64(pa)
 		}
-	case opts.MCS:
-		sim, err := mcs.SimilarityMCCSCtx(ctx, q, p.Graph, opts.MCSBudget)
-		if err != nil {
-			if ctrl != nil && resilience.Salvageable(err) {
-				e.degrade(ctrl, &res.Stats, "suggest_rank_prefix")
-				return nil, nil
-			}
-			return nil, err
-		}
-		s.Overlap = sim
-		s.Distance = ged.LowerBound(q, p.Graph)
 	default:
 		if resilience.GEDApprox(ctx) {
 			s.Distance = ged.Approx(q, p.Graph)
@@ -396,11 +361,8 @@ func (e *Engine) rank(ctx context.Context, ctrl *resilience.Controller, res *Res
 		}
 	}
 	closeness := 1 / (1 + float64(s.Distance))
-	if opts.MCS && !contained {
-		closeness = s.Overlap
-	}
 	s.Rank = closeness * (1 + s.Score)
-	return s, nil
+	return s
 }
 
 // coldStart fills res with the top-k patterns by selection score — the

@@ -103,21 +103,20 @@ func TestSuggestTopKTruncates(t *testing.T) {
 
 func TestSuggestMaxCandidatesCap(t *testing.T) {
 	var ps []*core.Pattern
-	for i := 0; i < 8; i++ {
-		ps = append(ps, pat(path("A", "B", "C"), float64(i)/10))
+	for i := 0; i < 70; i++ {
+		ps = append(ps, pat(path("A", "B", "C"), float64(i)/100))
 	}
 	eng := NewEngine(ps)
-	res, err := eng.SuggestCtx(context.Background(), path("A", "B"),
-		Options{Budget: -1, MaxCandidates: 3})
+	res, err := eng.SuggestCtx(context.Background(), path("A", "B"), Options{Budget: -1, TopK: 70})
 	if err != nil {
 		t.Fatalf("SuggestCtx: %v", err)
 	}
-	if res.Stats.Capped != 5 || res.Stats.Ranked != 3 {
-		t.Errorf("capped = %d ranked = %d, want 5 capped, 3 ranked", res.Stats.Capped, res.Stats.Ranked)
+	if res.Stats.Capped != 6 || res.Stats.Ranked != 64 {
+		t.Errorf("capped = %d ranked = %d, want 6 capped, 64 ranked", res.Stats.Capped, res.Stats.Ranked)
 	}
 	// Highest-scored candidates must survive the cap.
 	for _, s := range res.Suggestions {
-		if s.Score < 0.5 {
+		if s.Score < 0.06 {
 			t.Errorf("capped ranking kept low-score pattern %d (score %.2f)", s.Pattern, s.Score)
 		}
 	}
@@ -138,29 +137,6 @@ func TestSuggestExhaustedBudgetReturnsPrefixNotError(t *testing.T) {
 	}
 	if res.Stats.Ranked != len(res.Suggestions) && len(res.Suggestions) > res.Stats.Ranked {
 		t.Errorf("suggestions = %d > ranked = %d", len(res.Suggestions), res.Stats.Ranked)
-	}
-}
-
-func TestSuggestMCSMode(t *testing.T) {
-	eng := NewEngine([]*core.Pattern{
-		pat(path("A", "B", "C"), 0.5),
-		pat(path("X", "Y"), 0.5),
-	})
-	// Query A-B-X: contained in neither; MCS overlap with A-B-C (shared
-	// A-B) beats overlap with X-Y (shared X only, no shared edge).
-	q := path("A", "B", "X")
-	res, err := eng.SuggestCtx(context.Background(), q, Options{Budget: -1, MCS: true})
-	if err != nil {
-		t.Fatalf("SuggestCtx: %v", err)
-	}
-	if len(res.Suggestions) == 0 {
-		t.Fatal("no suggestions")
-	}
-	if res.Suggestions[0].Pattern != 0 {
-		t.Errorf("MCS top = pattern %d, want 0 (larger overlap)", res.Suggestions[0].Pattern)
-	}
-	if res.Suggestions[0].Overlap <= 0 {
-		t.Errorf("MCS overlap = %v, want > 0", res.Suggestions[0].Overlap)
 	}
 }
 
