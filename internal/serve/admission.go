@@ -1,7 +1,7 @@
 // Admission control: bounded concurrency with deadline-driven shedding.
 // Instead of queueing unboundedly under overload (and melting p99 for
-// everyone), the server admits at most MaxInFlight requests; a request that
-// cannot be admitted within MaxWait is shed with 429 Too Many Requests and
+// everyone), the server admits at most maxInFlight requests; a request that
+// cannot be admitted within maxWait is shed with 429 Too Many Requests and
 // a Retry-After hint. The wait is armed as a context deadline with
 // resilience.ErrBudgetExhausted as its cause — the same budget-exhaustion
 // signal the anytime pipeline uses — so shed decisions are distinguishable
@@ -15,59 +15,29 @@ import (
 	"repro/internal/resilience"
 )
 
-// AdmissionConfig bounds the server's concurrent work.
-type AdmissionConfig struct {
-	// MaxInFlight is the number of requests served concurrently across all
-	// endpoints (default DefaultMaxInFlight; negative disables admission
-	// control entirely).
-	MaxInFlight int
-	// MaxWait is how long a request may wait for an admission slot before
-	// being shed (default DefaultMaxWait). The wait context carries
-	// resilience.ErrBudgetExhausted as its deadline cause.
-	MaxWait time.Duration
-	// RetryAfter is the client backoff hint attached to shed responses
-	// (default DefaultRetryAfter); it is rounded up to whole seconds for
-	// the Retry-After header.
-	RetryAfter time.Duration
-}
-
-// Admission defaults.
+// Admission bounds of every server: at most maxInFlight requests are
+// served at once across all endpoints, a request waits at most maxWait for
+// a slot, and a shed response asks the client to retry after retryAfter.
 const (
-	DefaultMaxInFlight = 256
-	DefaultMaxWait     = 10 * time.Millisecond
-	DefaultRetryAfter  = time.Second
+	maxInFlight = 256
+	maxWait     = 10 * time.Millisecond
+	retryAfter  = time.Second
 )
 
-func (c AdmissionConfig) withDefaults() AdmissionConfig {
-	if c.MaxInFlight == 0 {
-		c.MaxInFlight = DefaultMaxInFlight
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = DefaultMaxWait
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = DefaultRetryAfter
-	}
-	return c
-}
-
-// admission is the runtime semaphore behind AdmissionConfig. A nil
-// *admission admits everything (admission disabled).
+// admission is the runtime semaphore that enforces the admission bounds.
 type admission struct {
 	sem        chan struct{}
 	maxWait    time.Duration
 	retryAfter time.Duration
 }
 
-func newAdmission(cfg AdmissionConfig) *admission {
-	cfg = cfg.withDefaults()
-	if cfg.MaxInFlight < 0 {
-		return nil
-	}
+// newAdmission builds a semaphore of inFlight slots; a request waits at
+// most wait for one, and a shed one is told to retry after retry.
+func newAdmission(inFlight int, wait, retry time.Duration) *admission {
 	return &admission{
-		sem:        make(chan struct{}, cfg.MaxInFlight),
-		maxWait:    cfg.MaxWait,
-		retryAfter: cfg.RetryAfter,
+		sem:        make(chan struct{}, inFlight),
+		maxWait:    wait,
+		retryAfter: retry,
 	}
 }
 
@@ -76,9 +46,6 @@ func newAdmission(cfg AdmissionConfig) *admission {
 // resilience.ErrBudgetExhausted for an admission-budget shed, or the
 // client's own cancellation cause.
 func (a *admission) admit(ctx context.Context) (func(), error) {
-	if a == nil {
-		return func() {}, nil
-	}
 	select {
 	case a.sem <- struct{}{}:
 		return a.release, nil
@@ -96,12 +63,9 @@ func (a *admission) admit(ctx context.Context) (func(), error) {
 
 func (a *admission) release() { <-a.sem }
 
-// retryAfterSeconds is the Retry-After header value: the configured hint
-// rounded up to whole seconds, at least 1.
+// retryAfterSeconds is the Retry-After header value: the hint rounded up
+// to whole seconds, at least 1.
 func (a *admission) retryAfterSeconds() int {
-	if a == nil {
-		return 1
-	}
 	s := int((a.retryAfter + time.Second - 1) / time.Second)
 	if s < 1 {
 		s = 1

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,7 +12,7 @@ import (
 )
 
 func TestAdmissionShedsAtCapacity(t *testing.T) {
-	adm := newAdmission(AdmissionConfig{MaxInFlight: 2, MaxWait: 5 * time.Millisecond})
+	adm := newAdmission(2, 5*time.Millisecond, retryAfter)
 	rel1, err := adm.admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +35,7 @@ func TestAdmissionShedsAtCapacity(t *testing.T) {
 }
 
 func TestAdmissionRespectsCallerCancellation(t *testing.T) {
-	adm := newAdmission(AdmissionConfig{MaxInFlight: 1, MaxWait: time.Minute})
+	adm := newAdmission(1, time.Minute, retryAfter)
 	rel, err := adm.admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -49,28 +48,9 @@ func TestAdmissionRespectsCallerCancellation(t *testing.T) {
 	}
 }
 
-func TestAdmissionDisabled(t *testing.T) {
-	adm := newAdmission(AdmissionConfig{MaxInFlight: -1})
-	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rel, err := adm.admit(context.Background())
-			if err != nil {
-				t.Errorf("disabled admission rejected: %v", err)
-				return
-			}
-			rel()
-		}()
-	}
-	wg.Wait()
-}
-
 func TestServerShedsWith429AndRetryAfter(t *testing.T) {
-	s, _ := newTestServer(t, Options{Admission: AdmissionConfig{
-		MaxInFlight: 1, MaxWait: time.Millisecond, RetryAfter: 3 * time.Second,
-	}})
+	s, _ := newTestServer(t, Options{})
+	s.adm = newAdmission(1, time.Millisecond, 3*time.Second)
 
 	// Occupy the single slot with a request parked inside a handler.
 	inside := make(chan struct{})
@@ -103,7 +83,7 @@ func TestRetryAfterSecondsRoundsUp(t *testing.T) {
 		{0, 1}, {200 * time.Millisecond, 1}, {time.Second, 1},
 		{1500 * time.Millisecond, 2}, {3 * time.Second, 3},
 	} {
-		adm := newAdmission(AdmissionConfig{RetryAfter: tc.d})
+		adm := newAdmission(1, maxWait, tc.d)
 		if got := adm.retryAfterSeconds(); got != tc.want {
 			t.Errorf("retryAfterSeconds(%v) = %d, want %d", tc.d, got, tc.want)
 		}

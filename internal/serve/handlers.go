@@ -134,7 +134,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	qdb, err := graph.Read(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), "query")
+	qdb, err := graph.Read(http.MaxBytesReader(w, r.Body, maxBodyBytes), "query")
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad query: %v", err), http.StatusBadRequest)
 		return
@@ -187,7 +187,7 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	qdb, err := graph.Read(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), "partial")
+	qdb, err := graph.Read(http.MaxBytesReader(w, r.Body, maxBodyBytes), "partial")
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad partial query: %v", err), http.StatusBadRequest)
 		return
@@ -284,7 +284,7 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	}
 	var gs []*graph.Graph
 	if r.ContentLength != 0 {
-		gdb, err := graph.Read(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), "refresh")
+		gdb, err := graph.Read(http.MaxBytesReader(w, r.Body, maxBodyBytes), "refresh")
 		if err != nil {
 			http.Error(w, fmt.Sprintf("bad refresh batch: %v", err), http.StatusBadRequest)
 			return

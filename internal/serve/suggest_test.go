@@ -145,9 +145,8 @@ func TestSuggestEmptyPartialColdStart(t *testing.T) {
 }
 
 func TestSuggestShedsWith429AndRetryAfter(t *testing.T) {
-	s := newSuggestServer(t, Options{Admission: AdmissionConfig{
-		MaxInFlight: 1, MaxWait: time.Millisecond, RetryAfter: 3 * time.Second,
-	}})
+	s := newSuggestServer(t, Options{})
+	s.adm = newAdmission(1, time.Millisecond, 3*time.Second)
 
 	inside := make(chan struct{})
 	release := make(chan struct{})
