@@ -267,7 +267,7 @@ func TestDecompose(t *testing.T) {
 	f := ringFrozen(t, 300)
 	rec := pipeline.NewRecorder()
 	ctx := pipeline.WithTrace(context.Background(), rec)
-	d, err := Decompose(ctx, f, Options{MaxRegionEdges: 40, Reps: 2, Seed: 1, SeedSet: true})
+	d, err := Decompose(ctx, f, Options{MaxRegionEdges: 40, Reps: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestDifferentialDecomposeAcrossWorkers(t *testing.T) {
 
 	for seed := int64(1); seed <= 3; seed++ {
 		f := ringFrozen(t, 500)
-		opts := Options{MaxRegionEdges: 37, Reps: 3, Seed: seed, SeedSet: true}
+		opts := Options{MaxRegionEdges: 37, Reps: 3, Seed: seed}
 		want, err := Decompose(context.Background(), f, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -64,7 +64,7 @@ func TestDifferentialDecomposeAcrossWorkers(t *testing.T) {
 // partition).
 func TestDifferentialDecomposeRepeatability(t *testing.T) {
 	f := ringFrozen(t, 300)
-	opts := Options{MaxRegionEdges: 53, Reps: 2, Seed: 9, SeedSet: true}
+	opts := Options{MaxRegionEdges: 53, Reps: 2, Seed: 9}
 	want, err := Decompose(context.Background(), f, opts)
 	if err != nil {
 		t.Fatal(err)

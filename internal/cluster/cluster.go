@@ -69,10 +69,6 @@ type Config struct {
 	MCSBudget int
 	// Seed drives k-means++ and fine-clustering seed choices.
 	Seed int64
-	// SeedSet marks Seed as explicitly chosen. The catapult facade only
-	// propagates its top-level Seed into a zero Seed when SeedSet is false,
-	// so a deliberate Seed of 0 is distinguishable from "not configured".
-	SeedSet bool
 }
 
 // Coarse clustering's feature mining: subtrees of at most MaxTreeEdges

@@ -44,7 +44,6 @@ func TestRunComposesCoarseThenFine(t *testing.T) {
 			MinSupport: 0.2,
 			MCSBudget:  1500,
 			Seed:       seed,
-			SeedSet:    true,
 		}
 		full, err := RunCtx(context.Background(), db, cfg)
 		if err != nil {

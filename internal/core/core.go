@@ -72,10 +72,6 @@ type Options struct {
 	Walks int
 	// Seed drives the random walks.
 	Seed int64
-	// SeedSet marks Seed as explicitly chosen. The catapult facade only
-	// propagates its top-level Seed into a zero Seed when SeedSet is false,
-	// so a deliberate Seed of 0 is distinguishable from "not configured".
-	SeedSet bool
 	// TopCSGs, when positive, restricts candidate proposals in each
 	// iteration to the TopCSGs highest-weight CSGs. Bounds the per-
 	// iteration VF2 cost on large clusterings; 0 proposes from all CSGs.

@@ -201,7 +201,7 @@ func TestDifferentialSelect(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		db, csgs, _, _, _ := diffSetup(seed)
 		b := Budget{EtaMin: 3, EtaMax: 5, Gamma: 6}
-		opts := Options{Walks: 8, Seed: seed, SeedSet: true,
+		opts := Options{Walks: 8, Seed: seed,
 			QueryLog: diffPatterns(db, 6, rand.New(rand.NewSource(seed^0x5eed)))}
 
 		var want *Result

@@ -78,7 +78,7 @@ func bignetState(tb testing.TB) serve.State {
 		Name: "load-net", Vertices: 256, Edges: 1500, Labels: 5, Seed: 7,
 	})
 	dec, err := bignet.Decompose(context.Background(), f, bignet.Options{
-		Name: "load-net", MaxRegionEdges: 64, Reps: 2, Seed: 7, SeedSet: true,
+		Name: "load-net", MaxRegionEdges: 64, Reps: 2, Seed: 7,
 	})
 	if err != nil {
 		tb.Fatal(err)
