@@ -101,7 +101,6 @@ func WriteBinary(w io.Writer, f *graph.Frozen) error {
 // duplicate or out-of-range edges) are counted and skipped exactly like
 // the text path.
 func LoadBinaryCtx(ctx context.Context, r io.Reader, opts LoadOptions) (*graph.Frozen, *LoadStats, error) {
-	opts = opts.withDefaults()
 	tr := pipeline.From(ctx)
 	done := pipeline.StartStage(ctx, pipeline.StageNetLoad)
 	defer done()
@@ -139,7 +138,7 @@ func LoadBinaryCtx(ctx context.Context, r io.Reader, opts LoadOptions) (*graph.F
 	}
 	nv := int32(nVertices)
 	b := graph.NewFrozenBuilder(capHint(int(nVertices), 1024), capHint(opts.EdgeHint, 4096))
-	defaultID := graph.Intern(opts.DefaultLabel)
+	defaultID := graph.Intern(defaultLabel)
 	st := &LoadStats{}
 	for v := int32(0); v < nv; v++ {
 		li, err := binary.ReadUvarint(br)

@@ -30,9 +30,6 @@ import (
 
 // LoadOptions tunes the streaming loaders.
 type LoadOptions struct {
-	// DefaultLabel is assigned to vertices that appear only on edge
-	// lines (no "v" declaration). Default "v".
-	DefaultLabel string
 	// VertexHint / EdgeHint pre-size the builder. Zero means modest
 	// defaults; hints are capped internally so hostile headers cannot
 	// force huge allocations.
@@ -40,12 +37,9 @@ type LoadOptions struct {
 	EdgeHint   int
 }
 
-func (o LoadOptions) withDefaults() LoadOptions {
-	if o.DefaultLabel == "" {
-		o.DefaultLabel = "v"
-	}
-	return o
-}
+// defaultLabel is assigned to vertices that appear only on edge lines
+// (no "v" declaration).
+const defaultLabel = "v"
 
 // allocCap bounds pre-allocation from untrusted size hints (binary
 // headers, caller hints). Real sizes beyond the cap still work — slices
@@ -92,10 +86,9 @@ func (s LoadStats) String() string {
 //	<u> <v> [...]         edge (bare SNAP form)
 //
 // External IDs may be any int64; they are remapped densely in first-seen
-// order. Undeclared endpoints get opts.DefaultLabel. Malformed lines,
+// order. Undeclared endpoints get defaultLabel. Malformed lines,
 // self-loops and duplicates are counted in LoadStats and skipped.
 func LoadEdgeListCtx(ctx context.Context, r io.Reader, opts LoadOptions) (*graph.Frozen, *LoadStats, error) {
-	opts = opts.withDefaults()
 	tr := pipeline.From(ctx)
 	done := pipeline.StartStage(ctx, pipeline.StageNetLoad)
 	defer done()
@@ -103,7 +96,7 @@ func LoadEdgeListCtx(ctx context.Context, r io.Reader, opts LoadOptions) (*graph
 	b := graph.NewFrozenBuilder(capHint(opts.VertexHint, 1024), capHint(opts.EdgeHint, 4096))
 	ids := make(map[int64]int32, capHint(opts.VertexHint, 1024))
 	st := &LoadStats{}
-	defaultID := graph.Intern(opts.DefaultLabel)
+	defaultID := graph.Intern(defaultLabel)
 
 	// vertex returns the dense index for external id, creating it with
 	// the default label on first sight. ok is false past the int32 limit.

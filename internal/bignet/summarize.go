@@ -100,7 +100,7 @@ func summarize(ctx context.Context, f *graph.Frozen, regions []Region, opts Opti
 	perRegion := make([][]*graph.Graph, len(regions))
 	err := par.ForCtx(ctx, len(regions), func(i int) {
 		reg := &regions[i]
-		if reg.NumEdges() <= opts.RepMaxEdges {
+		if reg.NumEdges() <= repMaxEdges {
 			perRegion[i] = []*graph.Graph{regionGraph(f, reg.Edges)}
 			return
 		}
@@ -108,7 +108,7 @@ func summarize(ctx context.Context, f *graph.Frozen, regions []Region, opts Opti
 		rng := rand.New(rand.NewSource(mix(opts.Seed, reg.ID)))
 		reps := make([]*graph.Graph, 0, opts.Reps)
 		for r := 0; r < opts.Reps; r++ {
-			size := opts.RepMinEdges + rng.Intn(opts.RepMaxEdges-opts.RepMinEdges+1)
+			size := repMinEdges + rng.Intn(repMaxEdges-repMinEdges+1)
 			picked := csr.RandomConnectedEdges(edges, size, rng)
 			if picked == nil {
 				panic(fmt.Sprintf("bignet: region %d: no connected %d-edge sample of %d edges", reg.ID, size, reg.NumEdges()))
