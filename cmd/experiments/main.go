@@ -32,19 +32,20 @@ func main() {
 	)
 	flag.Parse()
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Queries: *queries}
+	ctx := context.Background()
 	if *timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-		cfg.Ctx = ctx
 	}
 
 	if *exp == "all" {
 		start := time.Now()
-		for _, rep := range experiments.RunAll(cfg) {
+		for _, rep := range experiments.RunAll(ctx, cfg) {
 			fmt.Println(rep)
 		}
 		fmt.Printf("total: %v\n", time.Since(start).Round(time.Second))
-		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
+		if ctx.Err() != nil {
 			fmt.Fprintf(os.Stderr, "experiments: aborted after -timeout %v\n", *timeout)
 			os.Exit(1)
 		}
@@ -55,7 +56,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: bad -exp %q\n", *exp)
 		os.Exit(2)
 	}
-	rep, err := experiments.Run(n, cfg)
+	rep, err := experiments.Run(ctx, n, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)

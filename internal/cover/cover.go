@@ -100,7 +100,7 @@ func New(hosts []*graph.Graph) *Engine {
 	}
 	// The DB literal shares the host graphs without reassigning their IDs
 	// (graph.NewDB would clobber g.ID, which String() and exporters use).
-	e.idx = gindex.Build(&graph.DB{Name: "cover-hosts", Graphs: e.hosts}, gindex.Options{})
+	e.idx = gindex.Build(&graph.DB{Name: "cover-hosts", Graphs: e.hosts})
 	for i, h := range e.hosts {
 		if h.NumVertices() <= canon.MaxKeyVertices {
 			e.hostKeys[i] = canon.String(h)

@@ -14,7 +14,7 @@ import (
 // Exp1 reproduces Fig 7 (small graph clustering): clustering time and CSG
 // compactness ξ0.4/ξ0.5/ξ0.6 for the five strategies CC, mccsFC, mcsFC,
 // mccsH, mcsH on the AIDS10K and AIDS40K analogs.
-func Exp1(cfg Config) *Report {
+func Exp1(ctx context.Context, cfg Config) *Report {
 	cfg.defaults()
 	rep := &Report{
 		ID:     "Exp1 (Fig 7)",
@@ -35,7 +35,7 @@ func Exp1(cfg Config) *Report {
 	for _, s := range sets {
 		for _, strat := range strategies {
 			start := time.Now()
-			res, err := cluster.RunCtx(cfg.ctx(), s.db, cluster.Config{
+			res, err := cluster.RunCtx(ctx, s.db, cluster.Config{
 				Strategy: strat, N: 20, MinSupport: 0.1, Seed: cfg.Seed,
 				MCSBudget: 5000,
 			})

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/graph"
 	"repro/internal/stats"
 	"repro/internal/usersim"
@@ -12,7 +14,7 @@ import (
 // ("actual") and by the putative measures F1 (density-based, Sec 3.2), F2
 // (degree-based) and F3 (average-degree). Reported: Kendall tau of the
 // actual ranking against each measure's ranking.
-func Exp10(cfg Config) *Report {
+func Exp10(ctx context.Context, cfg Config) *Report {
 	cfg.defaults()
 	rep := &Report{
 		ID:     "Exp10 (Fig 18)",

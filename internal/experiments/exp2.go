@@ -99,7 +99,7 @@ func runPipeline(stdctx context.Context, db *graph.DB, queries []*graph.Graph, b
 // Exp2 reproduces Fig 8 and Fig 9 (sampling vs no sampling): PGT, MP and
 // max/avg μ, plus CSG compactness and clustering time, on the AIDS
 // analogs.
-func Exp2(cfg Config) *Report {
+func Exp2(ctx context.Context, cfg Config) *Report {
 	cfg.defaults()
 	rep := &Report{
 		ID:     "Exp2 (Fig 8+9)",
@@ -123,7 +123,7 @@ func Exp2(cfg Config) *Report {
 			{"S", scaledSampling()},
 			{"noS", nil},
 		} {
-			res, m, err := runPipeline(cfg.ctx(), s.db, queries, budget, mode.sampling, cfg.Seed)
+			res, m, err := runPipeline(ctx, s.db, queries, budget, mode.sampling, cfg.Seed)
 			if err != nil {
 				rep.AddNote("%s%s failed: %v", s.name, mode.suffix, err)
 				continue

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
@@ -13,7 +15,7 @@ import (
 // [3, 8] as each commercial interface (12 for PubChem, 6 for eMol) and the
 // two pattern sets are compared on average cognitive load, diversity,
 // missed percentage and the relative reduction ratio μG.
-func Exp3(cfg Config) *Report {
+func Exp3(ctx context.Context, cfg Config) *Report {
 	cfg.defaults()
 	rep := &Report{
 		ID:     "Exp3 (Sec 6.2)",
@@ -33,7 +35,7 @@ func Exp3(cfg Config) *Report {
 	for _, run := range runs {
 		queries := dataset.Queries(run.db, cfg.Queries, 4, 40, cfg.Seed+11)
 		budget := core.Budget{EtaMin: 3, EtaMax: 8, Gamma: run.capacity}
-		res, _, err := runPipeline(cfg.ctx(), run.db, queries, budget, scaledSampling(), cfg.Seed)
+		res, _, err := runPipeline(ctx, run.db, queries, budget, scaledSampling(), cfg.Seed)
 		if err != nil {
 			rep.AddNote("%s failed: %v", run.name, err)
 			continue

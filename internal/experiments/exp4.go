@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"fmt"
 
 	"repro/internal/core"
@@ -15,7 +17,7 @@ import (
 // interface spanning sizes 12-40 edges, each formulated by five simulated
 // participants with both the commercial GUI's patterns and CATAPULT's.
 // Reported per query: average QFT in seconds and average steps taken.
-func Exp4(cfg Config) *Report {
+func Exp4(ctx context.Context, cfg Config) *Report {
 	cfg.defaults()
 	rep := &Report{
 		ID:     "Exp4 (Table 1 + Fig 10)",
@@ -39,7 +41,7 @@ func Exp4(cfg Config) *Report {
 
 	for _, run := range runs {
 		budget := core.Budget{EtaMin: 3, EtaMax: 8, Gamma: run.cap}
-		res, _, err := runPipeline(cfg.ctx(), run.db, nil, budget, scaledSampling(), cfg.Seed)
+		res, _, err := runPipeline(ctx, run.db, nil, budget, scaledSampling(), cfg.Seed)
 		if err != nil {
 			rep.AddNote("%s failed: %v", run.name, err)
 			continue

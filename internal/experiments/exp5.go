@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/core"
 	"repro/internal/freqmine"
 	"repro/internal/graph"
@@ -9,7 +11,7 @@ import (
 // Exp5 reproduces Fig 11 (coverage): scov and lcov of CATAPULT's pattern
 // set versus the top-|P| frequent edges, for |P| ∈ {5, 10, 20, 30}, on the
 // AIDS40K and PubChem analogs.
-func Exp5(cfg Config) *Report {
+func Exp5(ctx context.Context, cfg Config) *Report {
 	cfg.defaults()
 	rep := &Report{
 		ID:     "Exp5 (Fig 11)",
@@ -26,7 +28,7 @@ func Exp5(cfg Config) *Report {
 	for _, s := range sets {
 		for _, p := range []int{5, 10, 20, 30} {
 			budget := core.Budget{EtaMin: 3, EtaMax: 12, Gamma: p}
-			res, _, err := runPipeline(cfg.ctx(), s.db, nil, budget, scaledSampling(), cfg.Seed)
+			res, _, err := runPipeline(ctx, s.db, nil, budget, scaledSampling(), cfg.Seed)
 			if err != nil {
 				rep.AddNote("%s |P|=%d failed: %v", s.name, p, err)
 				continue

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"fmt"
 
 	"repro/internal/core"
@@ -13,7 +15,7 @@ import (
 // as the PubChem analog grows through {23K, 250K, 500K, 1M}/Scale graphs.
 // μDS compares step counts of patterns mined at size DS against patterns
 // mined at the 23K baseline, on a common query workload.
-func Exp6(cfg Config) *Report {
+func Exp6(ctx context.Context, cfg Config) *Report {
 	cfg.defaults()
 	rep := &Report{
 		ID:     "Exp6 (Fig 12)",
@@ -41,7 +43,7 @@ func Exp6(cfg Config) *Report {
 	var baseSteps []queryform.StepResult
 	for i, n := range sizes {
 		db := gen(cfg.scaled(n))
-		res, m, err := runPipeline(cfg.ctx(), db, queries, budget, scaledSampling(), cfg.Seed)
+		res, m, err := runPipeline(ctx, db, queries, budget, scaledSampling(), cfg.Seed)
 		if err != nil {
 			rep.AddNote("size %d failed: %v", n, err)
 			continue

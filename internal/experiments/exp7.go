@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
@@ -26,7 +28,7 @@ func expDatasets(cfg Config) []struct {
 // Exp7 reproduces Fig 13 (effect of |P|): max/avg μ, MP and PGT for
 // |P| ∈ {5, 10, 20, 30, 40} on the four datasets, plus the avg cog of the
 // selected sets (the paper reports cog ∈ [1.65, 1.97]).
-func Exp7(cfg Config) *Report {
+func Exp7(ctx context.Context, cfg Config) *Report {
 	cfg.defaults()
 	rep := &Report{
 		ID:     "Exp7 (Fig 13)",
@@ -37,7 +39,7 @@ func Exp7(cfg Config) *Report {
 		queries := dataset.Queries(s.db, cfg.Queries, 4, 40, cfg.Seed+17)
 		for _, p := range []int{5, 10, 20, 30, 40} {
 			budget := core.Budget{EtaMin: 3, EtaMax: 12, Gamma: p}
-			res, m, err := runPipeline(cfg.ctx(), s.db, queries, budget, scaledSampling(), cfg.Seed)
+			res, m, err := runPipeline(ctx, s.db, queries, budget, scaledSampling(), cfg.Seed)
 			if err != nil {
 				rep.AddNote("%s |P|=%d failed: %v", s.name, p, err)
 				continue

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"fmt"
 
 	"repro/internal/core"
@@ -10,7 +12,7 @@ import (
 // Exp8 reproduces Figs 14-16 (effect of pattern size budget): sweeping
 // ηmin ∈ {3,5,7,9} at ηmax=12 and ηmax ∈ {5,7,9,12} at ηmin=3, reporting
 // max/avg μ, MP, PGT, and the div/cog statistics of Fig 16.
-func Exp8(cfg Config) *Report {
+func Exp8(ctx context.Context, cfg Config) *Report {
 	cfg.defaults()
 	rep := &Report{
 		ID:     "Exp8 (Fig 14-16)",
@@ -22,7 +24,7 @@ func Exp8(cfg Config) *Report {
 		queries := dataset.Queries(s.db, cfg.Queries, 4, 40, cfg.Seed+19)
 		for _, etaMin := range []int{3, 5, 7, 9} {
 			budget := core.Budget{EtaMin: etaMin, EtaMax: 12, Gamma: gamma}
-			res, m, err := runPipeline(cfg.ctx(), s.db, queries, budget, scaledSampling(), cfg.Seed)
+			res, m, err := runPipeline(ctx, s.db, queries, budget, scaledSampling(), cfg.Seed)
 			if err != nil {
 				rep.AddNote("%s ηmin=%d failed: %v", s.name, etaMin, err)
 				continue
@@ -34,7 +36,7 @@ func Exp8(cfg Config) *Report {
 		}
 		for _, etaMax := range []int{5, 7, 9, 12} {
 			budget := core.Budget{EtaMin: 3, EtaMax: etaMax, Gamma: gamma}
-			res, m, err := runPipeline(cfg.ctx(), s.db, queries, budget, scaledSampling(), cfg.Seed)
+			res, m, err := runPipeline(ctx, s.db, queries, budget, scaledSampling(), cfg.Seed)
 			if err != nil {
 				rep.AddNote("%s ηmax=%d failed: %v", s.name, etaMax, err)
 				continue

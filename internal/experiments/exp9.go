@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"fmt"
 
 	"repro/internal/core"
@@ -16,7 +18,7 @@ import (
 // fraction x ∈ {0, 0.1, 0.2, 0.3, 0.4}. Reported per workload: the average
 // μF = (stepF - stepP)/stepF against each baseline and the missed
 // percentage of every pattern source.
-func Exp9(cfg Config) *Report {
+func Exp9(ctx context.Context, cfg Config) *Report {
 	cfg.defaults()
 	rep := &Report{
 		ID:     "Exp9 (Fig 17)",
@@ -27,7 +29,7 @@ func Exp9(cfg Config) *Report {
 
 	// CATAPULT patterns: |P| = 30 over sizes [3, 12] as in the paper.
 	budget := core.Budget{EtaMin: 3, EtaMax: 12, Gamma: 30}
-	res, _, err := runPipeline(cfg.ctx(), db, nil, budget, scaledSampling(), cfg.Seed)
+	res, _, err := runPipeline(ctx, db, nil, budget, scaledSampling(), cfg.Seed)
 	if err != nil {
 		rep.AddNote("pipeline failed: %v", err)
 		return rep

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -48,7 +49,7 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("experiment %d missing from registry", i)
 		}
 	}
-	if _, err := Run(99, tinyCfg()); err == nil {
+	if _, err := Run(context.Background(), 99, tinyCfg()); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -61,7 +62,7 @@ func TestEveryExperimentSmokes(t *testing.T) {
 	}
 	cfg := tinyCfg()
 	for n := 1; n <= 10; n++ {
-		rep, err := Run(n, cfg)
+		rep, err := Run(context.Background(), n, cfg)
 		if err != nil {
 			t.Fatalf("Exp%d: %v", n, err)
 		}
@@ -75,7 +76,7 @@ func TestEveryExperimentSmokes(t *testing.T) {
 }
 
 func TestExp10Shape(t *testing.T) {
-	rep := Exp10(tinyCfg())
+	rep := Exp10(context.Background(), tinyCfg())
 	if len(rep.Rows) != 2 {
 		t.Fatalf("Exp10 rows = %d, want 2 datasets", len(rep.Rows))
 	}

@@ -11,7 +11,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -30,18 +29,6 @@ type Config struct {
 	// Queries is the workload size per dataset (paper: 1000; default
 	// scales with Scale).
 	Queries int
-	// Ctx, when non-nil, bounds the run: it is threaded through the
-	// pipeline stages of every experiment, so cancellation or a deadline
-	// aborts mid-stage. Nil means context.Background (never cancelled).
-	Ctx context.Context
-}
-
-// ctx returns the run context, defaulting to context.Background.
-func (c Config) ctx() context.Context {
-	if c.Ctx != nil {
-		return c.Ctx
-	}
-	return context.Background()
 }
 
 func (c *Config) defaults() {

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 )
 
-// Runner executes one experiment.
-type Runner func(Config) *Report
+// Runner executes one experiment. ctx is threaded through the pipeline
+// stages of the experiment, so cancellation or a deadline aborts mid-stage.
+type Runner func(context.Context, Config) *Report
 
 // Registry maps experiment numbers to their runners.
 var Registry = map[int]Runner{
@@ -23,18 +25,18 @@ var Registry = map[int]Runner{
 }
 
 // Run executes experiment n.
-func Run(n int, cfg Config) (*Report, error) {
+func Run(ctx context.Context, n int, cfg Config) (*Report, error) {
 	r, ok := Registry[n]
 	if !ok {
 		return nil, fmt.Errorf("experiments: no experiment %d", n)
 	}
-	return r(cfg), nil
+	return r(ctx, cfg), nil
 }
 
-// RunAll executes every experiment in order. When cfg.Ctx is cancelled the
+// RunAll executes every experiment in order. When ctx is cancelled the
 // loop stops before the next experiment; the in-flight experiment aborts at
 // its next pipeline stage boundary.
-func RunAll(cfg Config) []*Report {
+func RunAll(ctx context.Context, cfg Config) []*Report {
 	ids := make([]int, 0, len(Registry))
 	for id := range Registry {
 		ids = append(ids, id)
@@ -42,10 +44,10 @@ func RunAll(cfg Config) []*Report {
 	sort.Ints(ids)
 	out := make([]*Report, 0, len(ids))
 	for _, id := range ids {
-		if cfg.ctx().Err() != nil {
+		if ctx.Err() != nil {
 			break
 		}
-		out = append(out, Registry[id](cfg))
+		out = append(out, Registry[id](ctx, cfg))
 	}
 	return out
 }

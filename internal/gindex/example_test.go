@@ -22,7 +22,7 @@ func ExampleIndex_Search() {
 	g2.MustAddEdge(a, b)
 
 	db := graph.NewDB("demo", []*graph.Graph{g1, g2})
-	idx := gindex.Build(db, gindex.Options{})
+	idx := gindex.Build(db)
 
 	q := graph.New(2, 1)
 	qc := q.AddVertex("C")

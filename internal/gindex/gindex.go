@@ -3,7 +3,7 @@
 // (Sec 1: retrieve the data graphs containing a user's subgraph query).
 //
 // The index follows the classic path-based design (GraphGrep/gIndex
-// family): every label path of length ≤ MaxPathLen occurring in a data
+// family): every label path of length ≤ pathLen occurring in a data
 // graph becomes a feature; a query's features prune the candidate set by
 // inverted-list intersection and the survivors are verified with VF2.
 // Path features are cheap to enumerate, anti-monotone (every feature of a
@@ -31,19 +31,17 @@ import (
 	"repro/internal/subiso"
 )
 
-// DefaultMaxPathLen is the default maximum indexed path length (edges).
-const DefaultMaxPathLen = 3
+// pathLen is the maximum indexed path length (edges).
+const pathLen = 3
 
 // Index is an immutable path-feature index over a database.
 type Index struct {
 	db         *graph.DB
 	maxPathLen int
 
-	// in resolves global label IDs back to strings (persistence); local
-	// remaps global IDs to dense 1-based local IDs assigned in first-
-	// occurrence order over the database. A local ID of 0 never occurs, so
-	// packed paths of different lengths cannot collide.
-	in    *graph.Interner
+	// local remaps global label IDs to dense 1-based local IDs assigned in
+	// first-occurrence order over the database. A local ID of 0 never
+	// occurs, so packed paths of different lengths cannot collide.
 	local map[graph.LabelID]uint64
 
 	// Packed mode (labelBits > 0): a path feature is its local IDs packed
@@ -58,22 +56,15 @@ type Index struct {
 	wide map[string]*bitset.Set
 }
 
-// Options configures index construction.
-type Options struct {
-	// MaxPathLen caps the indexed path length in edges (default 3).
-	MaxPathLen int
-}
+// Build constructs the index over paths of up to pathLen edges.
+func Build(db *graph.DB) *Index { return build(db, pathLen) }
 
-// Build constructs the index.
-func Build(db *graph.DB, opts Options) *Index {
-	maxLen := opts.MaxPathLen
-	if maxLen <= 0 {
-		maxLen = DefaultMaxPathLen
-	}
+// build constructs the index over paths of up to maxLen edges; tests pass
+// a long maxLen to force wide keying.
+func build(db *graph.DB, maxLen int) *Index {
 	idx := &Index{
 		db:         db,
 		maxPathLen: maxLen,
-		in:         graph.SharedInterner(),
 		local:      make(map[graph.LabelID]uint64),
 	}
 	for _, g := range db.Graphs {

@@ -42,7 +42,7 @@ func TestPathFeaturesAntiMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := dataset.AIDSLike(1, 5).Graph(0)
 	sub := graph.RandomConnectedSubgraph(g, 5, rng)
-	idx := Build(graph.NewDB("am", []*graph.Graph{g}), Options{})
+	idx := Build(graph.NewDB("am", []*graph.Graph{g}))
 	if idx.labelBits == 0 {
 		t.Fatal("expected packed mode for a single molecule-like graph")
 	}
@@ -61,7 +61,7 @@ func TestPathFeaturesAntiMonotone(t *testing.T) {
 
 func TestSearchExactness(t *testing.T) {
 	db := testDB()
-	idx := Build(db, Options{})
+	idx := Build(db)
 	q := pathGraph("C", "O")
 	res := idx.Search(q)
 	// Ground truth by brute force.
@@ -95,7 +95,7 @@ func TestSearchExactness(t *testing.T) {
 
 func TestSearchNoMatch(t *testing.T) {
 	db := testDB()
-	idx := Build(db, Options{})
+	idx := Build(db)
 	q := pathGraph("P", "P")
 	if res := idx.Search(q); len(res) != 0 {
 		t.Errorf("impossible query returned %d results", len(res))
@@ -108,7 +108,7 @@ func TestSearchNoMatch(t *testing.T) {
 func TestCandidatesSuperset(t *testing.T) {
 	// The filter must never prune a true answer (completeness).
 	db := dataset.AIDSLike(25, 3)
-	idx := Build(db, Options{})
+	idx := Build(db)
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		src := db.Graph(rng.Intn(db.Len()))
@@ -130,7 +130,7 @@ func TestCandidatesSuperset(t *testing.T) {
 
 func TestCountMatchesBruteForceProperty(t *testing.T) {
 	db := dataset.EMolLike(15, 9)
-	idx := Build(db, Options{})
+	idx := Build(db)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		src := db.Graph(r.Intn(db.Len()))
@@ -153,7 +153,7 @@ func TestCountMatchesBruteForceProperty(t *testing.T) {
 
 func TestFilterRatioPrunes(t *testing.T) {
 	db := dataset.AIDSLike(40, 11)
-	idx := Build(db, Options{})
+	idx := Build(db)
 	if idx.NumFeatures() == 0 {
 		t.Fatal("no features indexed")
 	}
@@ -163,7 +163,7 @@ func TestFilterRatioPrunes(t *testing.T) {
 	if ratio > 0.8 {
 		t.Errorf("specific query pruned poorly: ratio %v", ratio)
 	}
-	empty := Build(graph.NewDB("e", nil), Options{})
+	empty := Build(graph.NewDB("e", nil))
 	if empty.FilterRatio(q) != 1 {
 		t.Error("empty DB ratio should be 1")
 	}
@@ -171,7 +171,7 @@ func TestFilterRatioPrunes(t *testing.T) {
 
 func TestEmptyQueryMatchesAll(t *testing.T) {
 	db := testDB()
-	idx := Build(db, Options{})
+	idx := Build(db)
 	q := graph.New(0, 0)
 	if got := len(idx.Candidates(q)); got != db.Len() {
 		t.Errorf("empty query candidates = %d, want %d", got, db.Len())
@@ -180,7 +180,7 @@ func TestEmptyQueryMatchesAll(t *testing.T) {
 
 func BenchmarkIndexSearch(b *testing.B) {
 	db := dataset.AIDSLike(100, 13)
-	idx := Build(db, Options{})
+	idx := Build(db)
 	rng := rand.New(rand.NewSource(17))
 	q := graph.RandomConnectedSubgraph(db.Graph(0), 6, rng)
 	b.ResetTimer()
@@ -193,6 +193,6 @@ func BenchmarkIndexBuild(b *testing.B) {
 	db := dataset.AIDSLike(60, 15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(db, Options{})
+		Build(db)
 	}
 }

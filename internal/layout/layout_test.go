@@ -112,7 +112,7 @@ func TestAutoChoosesCircularForRings(t *testing.T) {
 
 func TestSVGWellFormed(t *testing.T) {
 	g := pathGraph("C", "O", "N")
-	out := SVG(g, SVGOptions{Size: 120, Seed: 2})
+	out := SVG(g, 2)
 	if !strings.HasPrefix(out, "<svg") || !strings.HasSuffix(out, "</svg>") {
 		t.Fatalf("not an svg document: %.60s...", out)
 	}
@@ -144,9 +144,9 @@ func TestSVGWellFormed(t *testing.T) {
 func TestSVGDefaultSizeAndEscaping(t *testing.T) {
 	g := graph.New(1, 0)
 	g.AddVertex("<&>")
-	out := SVG(g, SVGOptions{})
+	out := SVG(g, 0)
 	if !strings.Contains(out, `width="160"`) {
-		t.Error("default size not applied")
+		t.Error("canvas is not 160 pixels wide")
 	}
 	if strings.Contains(out, "><&></text>") {
 		t.Error("label not XML-escaped")

@@ -7,13 +7,8 @@ import (
 	"repro/internal/graph"
 )
 
-// SVGOptions tunes pattern rendering.
-type SVGOptions struct {
-	// Size is the square canvas side in pixels (default 160).
-	Size int
-	// Seed drives the force-directed layout when one is needed.
-	Seed int64
-}
+// svgSize is the square canvas side in pixels.
+const svgSize = 160
 
 // atomColors gives common chemistry-inspired colors per vertex label;
 // unknown labels render gray.
@@ -23,19 +18,16 @@ var atomColors = map[string]string{
 }
 
 // SVG renders the pattern as a standalone SVG document: edges as lines,
-// vertices as labeled circles.
-func SVG(g *graph.Graph, opts SVGOptions) string {
-	size := opts.Size
-	if size <= 0 {
-		size = 160
-	}
-	pts := Auto(g, opts.Seed)
+// vertices as labeled circles. seed drives the force-directed layout when
+// one is needed.
+func SVG(g *graph.Graph, seed int64) string {
+	pts := Auto(g, seed)
 	scale := func(p Point) (float64, float64) {
-		return p.X * float64(size), p.Y * float64(size)
+		return p.X * float64(svgSize), p.Y * float64(svgSize)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`,
-		size, size, size, size)
+		svgSize, svgSize, svgSize, svgSize)
 	b.WriteString(`<rect width="100%" height="100%" fill="white"/>`)
 	for _, e := range g.Edges() {
 		x1, y1 := scale(pts[e.U])
@@ -43,7 +35,7 @@ func SVG(g *graph.Graph, opts SVGOptions) string {
 		fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#555" stroke-width="2"/>`,
 			x1, y1, x2, y2)
 	}
-	r := float64(size) * 0.055
+	r := float64(svgSize) * 0.055
 	for v := 0; v < g.NumVertices(); v++ {
 		x, y := scale(pts[v])
 		label := g.Label(graph.VertexID(v))

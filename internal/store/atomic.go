@@ -14,20 +14,15 @@ import (
 // shrinks this to get per-byte kill granularity.
 var writeChunk = 64 * 1024
 
-// AtomicWriteFile writes data to path atomically and durably: the bytes
-// go to path+".tmp" first, the file is fsynced and closed, the temp file
-// is renamed over path, and the containing directory is fsynced so the
-// rename itself survives a crash. A reader therefore only ever observes
-// either the previous complete file or the new complete file — never a
-// torn mixture — and after a clean return the data is on stable storage.
-func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
-	return AtomicWriteFileCtx(context.Background(), path, data, perm)
-}
-
-// AtomicWriteFileCtx is AtomicWriteFile with cooperative cancellation
-// between chunks and per-chunk CounterStoreBytes reporting on ctx's
-// pipeline trace (CounterStorePersists fires once after the rename and
-// directory sync commit the write).
+// AtomicWriteFileCtx writes data to path atomically and durably: the
+// bytes go to path+".tmp" first, the file is fsynced and closed, the temp
+// file is renamed over path, and the containing directory is fsynced so
+// the rename itself survives a crash. A reader therefore only ever
+// observes either the previous complete file or the new complete file —
+// never a torn mixture — and after a clean return the data is on stable
+// storage. ctx is checked between chunks, each chunk reports
+// CounterStoreBytes on ctx's pipeline trace, and CounterStorePersists
+// fires once after the rename and directory sync commit the write.
 func AtomicWriteFileCtx(ctx context.Context, path string, data []byte, perm os.FileMode) error {
 	tr := pipeline.From(ctx)
 	tmp := path + ".tmp"

@@ -28,7 +28,7 @@
 // before they are used as allocation hints, in the style of the bignet
 // BNET1 loader, so hostile lengths cannot force large allocations.
 //
-// Snapshots are written atomically (AtomicWriteFile: temp file, fsync,
+// Snapshots are written atomically (AtomicWriteFileCtx: temp file, fsync,
 // rename, directory fsync) into generation-numbered slots
 // ("csnap-000042.snap") with bounded retention; recovery scans
 // generations newest-first and falls back to the last verifiable one,

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -132,7 +133,7 @@ func TestAtomicWriteFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.bin")
 	for i, content := range [][]byte{[]byte("first"), bytes.Repeat([]byte("x"), 3*writeChunk+17)} {
-		if err := AtomicWriteFile(path, content, 0o644); err != nil {
+		if err := AtomicWriteFileCtx(context.Background(), path, content, 0o644); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 		got, err := os.ReadFile(path)

@@ -36,9 +36,6 @@ type MineOptions struct {
 	// (footnote 8: "frequent subtrees describe crucial topology of graphs
 	// but demand lower computational cost"). Default 4.
 	MaxEdges int
-	// MaxTrees caps the total number of trees returned (0 = unlimited).
-	// When hit, the largest-support trees of each size are kept.
-	MaxTrees int
 }
 
 func (o *MineOptions) defaults() {
@@ -173,18 +170,8 @@ func mine(ctx context.Context, db *graph.DB, opts MineOptions) ([]*FrequentTree,
 			}
 		}
 		sortTrees(next)
-		if opts.MaxTrees > 0 && len(next) > opts.MaxTrees {
-			next = next[:opts.MaxTrees]
-		}
 		all = append(all, next...)
 		level = next
-	}
-
-	if opts.MaxTrees > 0 && len(all) > opts.MaxTrees {
-		// Keep the highest-support trees overall but preserve size mix by
-		// stable support-descending order.
-		sortTrees(all)
-		all = all[:opts.MaxTrees]
 	}
 	return all, ctx.Err()
 }

@@ -246,14 +246,6 @@ func TestMineNoDuplicateCanon(t *testing.T) {
 	}
 }
 
-func TestMineMaxTreesCap(t *testing.T) {
-	db := miningDB()
-	trees := mineT(t, db, MineOptions{MinSupport: 0.2, MaxEdges: 3, MaxTrees: 3})
-	if len(trees) > 3 {
-		t.Errorf("MaxTrees not honored: %d", len(trees))
-	}
-}
-
 func TestFeatureVectors(t *testing.T) {
 	db := miningDB()
 	trees := mineT(t, db, MineOptions{MinSupport: 0.5, MaxEdges: 2})

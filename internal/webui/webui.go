@@ -147,7 +147,7 @@ func handlePattern(w http.ResponseWriter, r *http.Request, snap *serve.Snapshot)
 	setVersion(w, snap)
 	if ext == "svg" {
 		w.Header().Set("Content-Type", "image/svg+xml")
-		_, _ = fmt.Fprint(w, layout.SVG(g, layout.SVGOptions{Size: 160, Seed: int64(idx)}))
+		_, _ = fmt.Fprint(w, layout.SVG(g, int64(idx)))
 		return
 	}
 	w.Header().Set("Content-Type", "text/vnd.graphviz")
