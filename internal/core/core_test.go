@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/canon"
+	"repro/internal/cluster"
 	"repro/internal/csg"
+	"repro/internal/dataset"
+	"repro/internal/ged"
 	"repro/internal/graph"
 )
 
@@ -19,6 +23,40 @@ func (ctx *Context) EdgeLabelWeight(label string) float64 { return ctx.elw[label
 // UpdateWeights is updateWeightsCtx without cancellation.
 func (ctx *Context) UpdateWeights(p *graph.Graph) {
 	_ = ctx.updateWeightsCtx(context.Background(), p)
+}
+
+// CCov estimates subgraph coverage via cluster coverage (Sec 5):
+// ccov(p, cw, C) = Σ_i cw_i · I[CSG_i contains p], with containment tested
+// by VF2 against the cluster summary graphs.
+func (ctx *Context) CCov(p *graph.Graph) float64 {
+	v, _ := ctx.ccovCtx(context.Background(), p)
+	return v
+}
+
+// ScorePattern computes the pattern score of Eq 2 against the currently
+// selected patterns:
+//
+//	s_p = ccov(p, cw, C) × lcov(p, D) × div(p, P\p) / cog(p)
+//
+// Diversity is min-GED to the selected set with the GEDl pruning loop of
+// Sec 5 (performed inside ged.MinDistanceCtx); the first pattern of a set has
+// div = 1 by convention. A pattern isomorphic to an already-selected one
+// has div = 0 and thus score 0.
+func (ctx *Context) ScorePattern(p *graph.Graph, selected []*graph.Graph) (score, ccov, lcov, div, cog float64) {
+	ccov = ctx.CCov(p)
+	lcov = ctx.LCov(p)
+	cog = p.CognitiveLoad()
+	if len(selected) == 0 {
+		div = 1
+	} else {
+		d, _, _ := ged.MinDistanceCtx(context.Background(), p, selected)
+		div = float64(d)
+	}
+	if cog == 0 {
+		return 0, ccov, lcov, div, cog
+	}
+	score = ccov * lcov * div / cog
+	return score, ccov, lcov, div, cog
 }
 
 // isDuplicate reports whether p is isomorphic to a graph already recorded
@@ -261,6 +299,44 @@ func TestScoreWithMatchesScorePattern(t *testing.T) {
 	s2, c2, l2, d2, g2 := ctx.scoreWith(p, []*graph.Graph{other}, Options{})
 	if !closeF(s1, s2) || c1 != c2 || l1 != l2 || d1 != d2 || g1 != g2 {
 		t.Errorf("scoreWith with zero options diverges from ScorePattern: %v vs %v", s1, s2)
+	}
+}
+
+// TestPipelineFirstScoreConsistent re-derives the first selected pattern's
+// score from a fresh context (no discounts applied yet) after clustering,
+// summarizing and selecting, and checks it matches the recorded breakdown:
+// score = ccov × lcov × div / cog with div = 1 for the first pick.
+func TestPipelineFirstScoreConsistent(t *testing.T) {
+	ctx := context.Background()
+	db := dataset.EMolLike(40, 31)
+	cl, err := cluster.RunCtx(ctx, db, cluster.Config{Strategy: cluster.HybridMCCS, N: 10, MinSupport: 0.15, Seed: 37})
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := make([][]int, len(cl.Clusters))
+	for i, c := range cl.Clusters {
+		members[i] = c.Members
+	}
+	csgs, err := csg.BuildAllCtx(ctx, db, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SelectCtx(ctx, NewContext(db, csgs), Budget{EtaMin: 3, EtaMax: 5, Gamma: 5}, Options{Seed: 37})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Patterns) == 0 {
+		t.Fatal("no patterns")
+	}
+	p0 := res.Patterns[0]
+	if p0.Div != 1 {
+		t.Errorf("first pattern div = %v, want 1", p0.Div)
+	}
+	score, ccov, lcov, _, cog := NewContext(db, csgs).ScorePattern(p0.Graph, nil)
+	if math.Abs(score-p0.Score) > 1e-9 || math.Abs(ccov-p0.Ccov) > 1e-9 ||
+		math.Abs(lcov-p0.Lcov) > 1e-9 || math.Abs(cog-p0.Cog) > 1e-9 {
+		t.Errorf("recorded breakdown (%v %v %v %v) != fresh (%v %v %v %v)",
+			p0.Score, p0.Ccov, p0.Lcov, p0.Cog, score, ccov, lcov, cog)
 	}
 }
 

@@ -9,15 +9,8 @@ import (
 	"repro/internal/graph"
 )
 
-// CCov estimates subgraph coverage via cluster coverage (Sec 5):
-// ccov(p, cw, C) = Σ_i cw_i · I[CSG_i contains p], with containment tested
-// by VF2 against the cluster summary graphs.
-func (ctx *Context) CCov(p *graph.Graph) float64 {
-	v, _ := ctx.ccovCtx(context.Background(), p)
-	return v
-}
-
-// ccovCtx is CCov with cooperative cancellation. Containment runs through
+// ccovCtx computes ccov(p, cw, C) = Σ_i cw_i · I[CSG_i contains p] (Sec 5)
+// with cooperative cancellation. Containment runs through
 // the coverage engine (memoized, index-pruned, parallel); verdicts are
 // accumulated in ascending CSG order, so the sum is deterministic.
 func (sc *Context) ccovCtx(stdctx context.Context, p *graph.Graph) (float64, error) {
@@ -56,32 +49,6 @@ func (ctx *Context) LCov(p *graph.Graph) float64 {
 		return 0
 	}
 	return float64(union.Count()) / float64(ctx.DB.Len())
-}
-
-// ScorePattern computes the pattern score of Eq 2 against the currently
-// selected patterns:
-//
-//	s_p = ccov(p, cw, C) × lcov(p, D) × div(p, P\p) / cog(p)
-//
-// Diversity is min-GED to the selected set with the GEDl pruning loop of
-// Sec 5 (performed inside ged.MinDistanceCtx); the first pattern of a set has
-// div = 1 by convention. A pattern isomorphic to an already-selected one
-// has div = 0 and thus score 0.
-func (ctx *Context) ScorePattern(p *graph.Graph, selected []*graph.Graph) (score, ccov, lcov, div, cog float64) {
-	ccov = ctx.CCov(p)
-	lcov = ctx.LCov(p)
-	cog = p.CognitiveLoad()
-	if len(selected) == 0 {
-		div = 1
-	} else {
-		d, _, _ := ged.MinDistanceCtx(context.Background(), p, selected)
-		div = float64(d)
-	}
-	if cog == 0 {
-		return 0, ccov, lcov, div, cog
-	}
-	score = ccov * lcov * div / cog
-	return score, ccov, lcov, div, cog
 }
 
 // terms are the factors of a candidate's Eq-2 score that need no GED.
