@@ -1,6 +1,7 @@
 package catapult
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cluster"
@@ -17,7 +18,7 @@ func smallDB(t *testing.T) *graph.DB {
 
 func TestSelectEndToEnd(t *testing.T) {
 	db := smallDB(t)
-	res, err := Select(db, Config{
+	res, err := SelectCtx(context.Background(), db, Config{
 		Budget:     core.Budget{EtaMin: 3, EtaMax: 6, Gamma: 8},
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 10, MinSupport: 0.2},
 		Seed:       7,
@@ -48,14 +49,14 @@ func TestSelectEndToEnd(t *testing.T) {
 }
 
 func TestSelectEmptyDB(t *testing.T) {
-	if _, err := Select(graph.NewDB("empty", nil), Config{}); err == nil {
+	if _, err := SelectCtx(context.Background(), graph.NewDB("empty", nil), Config{}); err == nil {
 		t.Error("empty database accepted")
 	}
 }
 
 func TestSelectDefaultsApplied(t *testing.T) {
 	db := dataset.EMolLike(25, 3)
-	res, err := Select(db, Config{Seed: 5})
+	res, err := SelectCtx(context.Background(), db, Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestSelectDefaultsApplied(t *testing.T) {
 
 func TestSelectedPatternsOccurInData(t *testing.T) {
 	db := smallDB(t)
-	res, err := Select(db, Config{
+	res, err := SelectCtx(context.Background(), db, Config{
 		Budget:     core.Budget{EtaMin: 3, EtaMax: 5, Gamma: 6},
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 10, MinSupport: 0.2},
 		Seed:       11,
@@ -102,7 +103,7 @@ func TestSelectWithSampling(t *testing.T) {
 	s.Epsilon = 0.15
 	s.Rho = 0.1
 	s.E = 0.3
-	res, err := Select(db, Config{
+	res, err := SelectCtx(context.Background(), db, Config{
 		Budget:     core.Budget{EtaMin: 3, EtaMax: 5, Gamma: 5},
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 8, MinSupport: 0.2},
 		Sampling:   s,
@@ -142,11 +143,11 @@ func TestSelectDeterministic(t *testing.T) {
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 10, MinSupport: 0.2},
 		Seed:       21,
 	}
-	a, err := Select(db, cfg)
+	a, err := SelectCtx(context.Background(), db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Select(db, cfg)
+	b, err := SelectCtx(context.Background(), db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestSelectDeterministic(t *testing.T) {
 
 func TestMaintainerIncrementalInsert(t *testing.T) {
 	db := dataset.AIDSLike(30, 15)
-	m, err := NewMaintainer(db, Config{
+	m, err := NewMaintainerCtx(context.Background(), db, Config{
 		Budget:     core.Budget{EtaMin: 3, EtaMax: 5, Gamma: 5},
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 8, MinSupport: 0.2},
 		Seed:       17,
@@ -177,7 +178,7 @@ func TestMaintainerIncrementalInsert(t *testing.T) {
 	clustersBefore := m.NumClusters()
 
 	extra := dataset.AIDSLike(5, 99)
-	if _, err := m.AddGraphs(extra.Graphs); err != nil {
+	if _, err := m.AddGraphsCtx(context.Background(), extra.Graphs); err != nil {
 		t.Fatal(err)
 	}
 	if m.DB().Len() != 35 {
@@ -210,7 +211,7 @@ func TestMaintainerIncrementalInsert(t *testing.T) {
 
 func TestMaintainerNoOpInsert(t *testing.T) {
 	db := dataset.EMolLike(20, 19)
-	m, err := NewMaintainer(db, Config{
+	m, err := NewMaintainerCtx(context.Background(), db, Config{
 		Budget:     core.Budget{EtaMin: 3, EtaMax: 4, Gamma: 3},
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 8, MinSupport: 0.2},
 		Seed:       23,
@@ -219,7 +220,7 @@ func TestMaintainerNoOpInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := len(m.Patterns())
-	if _, err := m.AddGraphs(nil); err != nil {
+	if _, err := m.AddGraphsCtx(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Patterns()) != before {

@@ -28,7 +28,7 @@ import (
 // Run by `make chaos` under -race.
 func TestChaosServeSnapshotConsistency(t *testing.T) {
 	db := dataset.AIDSLike(20, 15)
-	m, err := NewMaintainer(db, Config{
+	m, err := NewMaintainerCtx(context.Background(), db, Config{
 		Budget:     core.Budget{EtaMin: 3, EtaMax: 5, Gamma: 5},
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 8, MinSupport: 0.2},
 		Seed:       17,

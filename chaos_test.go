@@ -177,7 +177,7 @@ func TestChaosPanicSelect(t *testing.T) {
 func TestChaosPanicSelectGeneration(t *testing.T) {
 	cfg := stagedConfig()
 	cfg.Degradation = resilience.Config{Enabled: true}
-	clean, err := Select(dataset.AIDSLike(40, 1), cfg)
+	clean, err := SelectCtx(context.Background(), dataset.AIDSLike(40, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,12 +242,12 @@ func TestChaosUnboundedBitIdentical(t *testing.T) {
 	for _, seed := range []int64{7, 19, 42} {
 		cfg := stagedConfig()
 		cfg.Seed = seed
-		plain, err := Select(db, cfg)
+		plain, err := SelectCtx(context.Background(), db, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Degradation = resilience.Config{Enabled: true}
-		guarded, err := Select(db, cfg)
+		guarded, err := SelectCtx(context.Background(), db, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,11 +301,11 @@ func TestChaosAggressiveDeadline(t *testing.T) {
 
 	// Warm up once (shared caches, scheduler), then measure the
 	// unconstrained run.
-	if _, err := Select(db, cfg); err != nil {
+	if _, err := SelectCtx(context.Background(), db, cfg); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	full, err := Select(db, cfg)
+	full, err := SelectCtx(context.Background(), db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestChaosAggressiveDeadline(t *testing.T) {
 
 	cfg.Degradation = resilience.Config{Enabled: true, Deadline: deadline}
 	before := runtime.NumGoroutine()
-	res, err := Select(db, cfg)
+	res, err := SelectCtx(context.Background(), db, cfg)
 	if err != nil {
 		t.Fatalf("deadline-constrained run errored instead of degrading: %v", err)
 	}

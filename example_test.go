@@ -1,6 +1,7 @@
 package catapult_test
 
 import (
+	"context"
 	"fmt"
 
 	catapult "repro"
@@ -8,13 +9,13 @@ import (
 	"repro/internal/queryform"
 )
 
-// ExampleSelect runs the full pipeline on a small synthetic repository and
+// ExampleSelectCtx runs the full pipeline on a small synthetic repository and
 // reports basic facts about the selection. The configuration uses only
 // public catapult.* names, exactly as an external importer would (the
 // dataset helper stands in for loading a real database with ReadDB).
-func ExampleSelect() {
+func ExampleSelectCtx() {
 	db := dataset.AIDSLike(50, 1)
-	res, err := catapult.Select(db, catapult.Config{
+	res, err := catapult.SelectCtx(context.Background(), db, catapult.Config{
 		Budget:     catapult.Budget{EtaMin: 3, EtaMax: 5, Gamma: 4},
 		Clustering: catapult.ClusterConfig{Strategy: catapult.HybridMCCS, N: 10, MinSupport: 0.2},
 		Seed:       7,
@@ -33,11 +34,11 @@ func ExampleSelect() {
 	// patterns: 4
 }
 
-// ExampleSelect_queryFormulation shows the downstream use of a selection:
+// ExampleSelectCtx_queryFormulation shows the downstream use of a selection:
 // computing the pattern-at-a-time formulation cost of a query.
-func ExampleSelect_queryFormulation() {
+func ExampleSelectCtx_queryFormulation() {
 	db := dataset.AIDSLike(50, 1)
-	res, err := catapult.Select(db, catapult.Config{
+	res, err := catapult.SelectCtx(context.Background(), db, catapult.Config{
 		Budget:     catapult.Budget{EtaMin: 3, EtaMax: 5, Gamma: 4},
 		Clustering: catapult.ClusterConfig{Strategy: catapult.HybridMCCS, N: 10, MinSupport: 0.2},
 		Seed:       7,

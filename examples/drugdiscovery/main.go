@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 	})
 	fmt.Printf("repository: %s\n\n", db.ComputeStats())
 
-	res, err := catapult.Select(db, catapult.Config{
+	res, err := catapult.SelectCtx(context.Background(), db, catapult.Config{
 		Budget:     core.Budget{EtaMin: 3, EtaMax: 8, Gamma: 12},
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 20, MinSupport: 0.1},
 		Seed:       42,

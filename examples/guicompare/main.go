@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 }
 
 func compare(db *graph.DB, queries []*graph.Graph, guiName string, guiSet []*graph.Graph, budget int) {
-	res, err := catapult.Select(db, catapult.Config{
+	res, err := catapult.SelectCtx(context.Background(), db, catapult.Config{
 		Budget:     core.Budget{EtaMin: 3, EtaMax: 8, Gamma: budget},
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 20, MinSupport: 0.1},
 		Seed:       23,

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +18,7 @@ func main() {
 	db := dataset.AIDSLike(120, 5)
 	fmt.Printf("initial repository: %s\n", db.ComputeStats())
 
-	m, err := catapult.NewMaintainer(db, catapult.Config{
+	m, err := catapult.NewMaintainerCtx(context.Background(), db, catapult.Config{
 		Budget:     core.Budget{EtaMin: 3, EtaMax: 6, Gamma: 8},
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 15, MinSupport: 0.1},
 		Seed:       31,
@@ -32,7 +33,7 @@ func main() {
 	// Three insertion batches, e.g. nightly ingests of new compounds.
 	for batch := 1; batch <= 3; batch++ {
 		inc := dataset.AIDSLike(25, int64(100+batch))
-		reselect, err := m.AddGraphs(inc.Graphs)
+		reselect, err := m.AddGraphsCtx(context.Background(), inc.Graphs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,7 @@ func main() {
 	db := dataset.AIDSLike(200, 1)
 	fmt.Printf("database: %s\n\n", db.ComputeStats())
 
-	res, err := catapult.Select(db, catapult.Config{
+	res, err := catapult.SelectCtx(context.Background(), db, catapult.Config{
 		// Pattern budget b = (ηmin, ηmax, γ): patterns of 3-8 edges,
 		// 10 of them — what a GUI panel comfortably displays.
 		Budget: core.Budget{EtaMin: 3, EtaMax: 8, Gamma: 10},

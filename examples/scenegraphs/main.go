@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -59,7 +60,7 @@ func main() {
 	db := graph.NewDB("scenes", scenes)
 	fmt.Printf("scene corpus: %s\n\n", db.ComputeStats())
 
-	res, err := catapult.Select(db, catapult.Config{
+	res, err := catapult.SelectCtx(context.Background(), db, catapult.Config{
 		Budget:     core.Budget{EtaMin: 3, EtaMax: 6, Gamma: 8},
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 20, MinSupport: 0.1},
 		Seed:       43,

@@ -168,7 +168,7 @@ func TestDifferentialFrozenSelect(t *testing.T) {
 		cfg := redundantConfig(seed, 4)
 		warm := redundantDB(seed)
 		runtime.GOMAXPROCS(1)
-		want, err := catapult.Select(warm, cfg)
+		want, err := catapult.SelectCtx(context.Background(), warm, cfg)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -179,7 +179,7 @@ func TestDifferentialFrozenSelect(t *testing.T) {
 				db   *graph.DB
 			}{{"warm", warm}, {"cold", redundantDB(seed)}} {
 				runtime.GOMAXPROCS(w)
-				got, err := catapult.Select(run.db, cfg)
+				got, err := catapult.SelectCtx(context.Background(), run.db, cfg)
 				runtime.GOMAXPROCS(prev)
 				if err != nil {
 					t.Fatal(err)
@@ -203,7 +203,7 @@ func TestDifferentialFrozenNaiveEngines(t *testing.T) {
 	cfg := redundantConfig(2, 3)
 	for _, w := range []int{1, prev} {
 		runtime.GOMAXPROCS(w)
-		res, err := catapult.Select(db, cfg)
+		res, err := catapult.SelectCtx(context.Background(), db, cfg)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -224,7 +224,7 @@ func TestDifferentialFrozenNaiveEngines(t *testing.T) {
 func TestSelectEngineOnOffIdentical(t *testing.T) {
 	db := dataset.AIDSLike(40, 1)
 	for _, seed := range []int64{7, 19, 42} {
-		res, err := catapult.Select(db, catapult.Config{
+		res, err := catapult.SelectCtx(context.Background(), db, catapult.Config{
 			Budget:     core.Budget{EtaMin: 3, EtaMax: 6, Gamma: 8},
 			Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 10, MinSupport: 0.2},
 			Seed:       seed,

@@ -195,7 +195,7 @@ func TestGoldenSelect(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		var got bytes.Buffer
 		for _, in := range inputs {
-			res, err := catapult.Select(in.db, in.cfg)
+			res, err := catapult.SelectCtx(context.Background(), in.db, in.cfg)
 			if err != nil {
 				t.Fatalf("GOMAXPROCS %d, %s: %v", procs, in.name, err)
 			}

@@ -138,17 +138,9 @@ func (mt *Maintainer) EnableMetrics(m *Metrics) {
 	}
 }
 
-// NewMaintainer runs the full pipeline once and returns a maintainer that
-// can absorb subsequent insertions incrementally.
-//
-// Deprecated: use NewMaintainerCtx, which adds cooperative cancellation of
-// the initial pipeline run.
-func NewMaintainer(db *graph.DB, cfg Config) (*Maintainer, error) {
-	return NewMaintainerCtx(context.Background(), db, cfg)
-}
-
-// NewMaintainerCtx is NewMaintainer with cooperative cancellation of the
-// initial pipeline run.
+// NewMaintainerCtx runs the full pipeline once, with cooperative
+// cancellation, and returns a maintainer that can absorb subsequent
+// insertions incrementally.
 func NewMaintainerCtx(stdctx context.Context, db *graph.DB, cfg Config) (*Maintainer, error) {
 	res, err := SelectCtx(stdctx, db, cfg)
 	if err != nil {
@@ -195,19 +187,10 @@ func (m *Maintainer) NextRetry() time.Time { return m.nextRetry }
 // LastErr returns the error of the most recent failed refresh, or nil.
 func (m *Maintainer) LastErr() error { return m.lastErr }
 
-// AddGraphs inserts new data graphs, updates clustering and CSGs
+// AddGraphsCtx inserts new data graphs, updates clustering and CSGs
 // incrementally and reselects patterns. It returns the pattern-selection
-// duration.
-//
-// Deprecated: use AddGraphsCtx, which adds cooperative cancellation of the
-// refresh (the transactional retry-queue semantics are identical).
-func (m *Maintainer) AddGraphs(gs []*graph.Graph) (time.Duration, error) {
-	return m.AddGraphsCtx(context.Background(), gs)
-}
-
-// AddGraphsCtx is AddGraphs with cooperative cancellation: fine splitting,
-// CSG rebuilds and pattern reselection all check stdctx at their iteration
-// boundaries.
+// duration. Fine splitting, CSG rebuilds and pattern reselection all check
+// stdctx at their iteration boundaries.
 //
 // The update is transactional. On any failure — cancellation included — the
 // maintainer's database, clusters, summaries and pattern set are untouched

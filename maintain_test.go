@@ -14,7 +14,7 @@ import (
 func testMaintainer(t *testing.T) *Maintainer {
 	t.Helper()
 	db := dataset.AIDSLike(30, 15)
-	m, err := NewMaintainer(db, Config{
+	m, err := NewMaintainerCtx(context.Background(), db, Config{
 		Budget:     core.Budget{EtaMin: 3, EtaMax: 5, Gamma: 5},
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 8, MinSupport: 0.2},
 		Seed:       17,

@@ -5,6 +5,7 @@
 package catapult_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -36,11 +37,11 @@ func TestResilienceBenchGate(t *testing.T) {
 	}
 
 	// Warm up once, then calibrate the unconstrained run.
-	if _, err := catapult.Select(db, cfg); err != nil {
+	if _, err := catapult.SelectCtx(context.Background(), db, cfg); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	full, err := catapult.Select(db, cfg)
+	full, err := catapult.SelectCtx(context.Background(), db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestResilienceBenchGate(t *testing.T) {
 		dcfg := cfg
 		dcfg.Degradation = resilience.Config{Enabled: true, Deadline: deadline}
 		dstart := time.Now()
-		res, err := catapult.Select(db, dcfg)
+		res, err := catapult.SelectCtx(context.Background(), db, dcfg)
 		if err != nil {
 			t.Fatalf("deadline %.0f%%: errored instead of degrading: %v", frac*100, err)
 		}

@@ -20,7 +20,7 @@ func TestSamplingPathEagerLargerThanDB(t *testing.T) {
 	// a small database, so mining must fall back to the full-database
 	// path and still produce a valid clustering.
 	db := dataset.EMolLike(25, 51)
-	res, err := Select(db, Config{
+	res, err := SelectCtx(context.Background(), db, Config{
 		Budget:     core.Budget{EtaMin: 3, EtaMax: 4, Gamma: 3},
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 8, MinSupport: 0.2},
 		Sampling:   DefaultSampling(),
@@ -48,7 +48,7 @@ func TestSamplingPathEffectiveSizesInflated(t *testing.T) {
 	s.Epsilon = 0.15 // eager sample ~67 < 80: sampled mining path
 	s.Rho = 0.1
 	s.E = 0.25 // Cochran ~11: lazy sampling shrinks clusters
-	res, err := Select(db, Config{
+	res, err := SelectCtx(context.Background(), db, Config{
 		Budget:     core.Budget{EtaMin: 3, EtaMax: 4, Gamma: 3},
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 10, MinSupport: 0.15},
 		Sampling:   s,
